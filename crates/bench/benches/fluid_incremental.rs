@@ -22,7 +22,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netbw::prelude::*;
-use netbw_bench::{churn_stagger, churn_transfers, drain_churn_mode, EngineMode};
+use netbw_bench::{churn_stagger, churn_transfers, drain_churn_mode};
 use std::hint::black_box;
 
 const MODES: [(&str, EngineMode); 3] = [

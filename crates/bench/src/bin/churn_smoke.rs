@@ -32,7 +32,7 @@
 //!   splitting engine must keep the partition multi-shard at every wave
 //!   boundary and its per-wave settle cost flat over time; on ≥4 cores
 //!   it must additionally drain ≥2x faster than the never-splitting
-//!   `with_sharded_merge_only` ablation, which degrades to one
+//!   `EngineMode::ShardedMergeOnly` ablation, which degrades to one
 //!   mega-shard on the first wave and stays there.
 //!
 //! The medians land in `BENCH_timeline.json`, `BENCH_shard.json` and
@@ -50,7 +50,7 @@ use netbw::graph::Communication;
 use netbw::prelude::*;
 use netbw_bench::{
     bridge_wave_churn, churn_stagger, churn_transfers, drain_churn_mode, drain_churn_prefix,
-    drain_prefix_into, multi_component_churn, EngineMode, CHURN_SEED,
+    drain_prefix_into, multi_component_churn, CHURN_SEED,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -256,8 +256,8 @@ fn check_shard(comps: usize, flows_per_comp: usize, prefix: usize, reps: usize) 
     let mut live_shards = 0;
     let mut budget_fallbacks = 0;
     let (t_serial, done_serial) = median_time(reps, || {
-        let mut net =
-            FluidNetwork::new(MyrinetModel::default(), NetworkParams::unit()).with_sharded();
+        let mut net = FluidNetwork::new(MyrinetModel::default(), NetworkParams::unit())
+            .with_mode(EngineMode::Sharded);
         let done = drain_prefix_into(&mut net, &transfers, prefix);
         live_shards = net.shard_count();
         budget_fallbacks = net.cache_stats().budget_fallbacks;
@@ -279,7 +279,8 @@ fn check_shard(comps: usize, flows_per_comp: usize, prefix: usize, reps: usize) 
     );
     let (t_par, done_par) = median_time(reps, || {
         let mut net = FluidNetwork::new(MyrinetModel::default(), NetworkParams::unit())
-            .with_sharded_dispatch(Arc::new(SweepExecutor::new(0)));
+            .with_mode(EngineMode::Sharded)
+            .with_settle_dispatch(Arc::new(SweepExecutor::new(0)));
         drain_prefix_into(&mut net, &transfers, prefix)
     });
     assert_eq!(
@@ -331,7 +332,7 @@ fn check_shard(comps: usize, flows_per_comp: usize, prefix: usize, reps: usize) 
 /// per-wave settle cost and partition shape are observed at every wave
 /// boundary, where that wave's bridges are gone and the next wave's have
 /// not arrived), then through the never-splitting
-/// `with_sharded_merge_only` ablation on the same feed. GigE keeps the
+/// `EngineMode::ShardedMergeOnly` ablation on the same feed. GigE keeps the
 /// mega-shard Moon–Moser-free, so the comparison isolates partition
 /// *shape* — no budget collapse muddies either side. Returns the JSON
 /// line for `BENCH_split.json`.
@@ -374,7 +375,8 @@ fn check_split(comps: usize, flows_per_comp: usize, waves: usize, reps: usize) -
     let mut stats = netbw::fluid::ShardStats::default();
     for _ in 0..reps {
         let mut net = FluidNetwork::new(GigabitEthernetModel::default(), NetworkParams::unit())
-            .with_sharded_dispatch(Arc::new(SweepExecutor::new(0)));
+            .with_mode(EngineMode::Sharded)
+            .with_settle_dispatch(Arc::new(SweepExecutor::new(0)));
         let t0 = Instant::now();
         let done = feed(&mut net, Some((&mut wave_best, &mut boundary_min_shards)));
         split_times.push(t0.elapsed());
@@ -386,8 +388,8 @@ fn check_split(comps: usize, flows_per_comp: usize, waves: usize, reps: usize) -
 
     let (t_fused, fused_stats) = median_time(reps, || {
         let mut net = FluidNetwork::new(GigabitEthernetModel::default(), NetworkParams::unit())
-            .with_sharded_dispatch(Arc::new(SweepExecutor::new(0)))
-            .with_sharded_merge_only();
+            .with_mode(EngineMode::ShardedMergeOnly)
+            .with_settle_dispatch(Arc::new(SweepExecutor::new(0)));
         let done = feed(&mut net, None);
         assert_eq!(done, transfers.len(), "merge-only engine lost flows");
         net.shard_stats()

@@ -17,7 +17,7 @@ use netbw::prelude::*;
 use netbw::sim::NetworkBackend;
 use netbw_bench::{
     bridge_wave_churn, churn_stagger, churn_transfers, drain_churn_mode, fabric_model_pairs,
-    section, show, EngineMode, CHURN_SEED,
+    section, show, CHURN_SEED,
 };
 
 fn main() {
@@ -182,8 +182,9 @@ fn main() {
     let stagger = churn_stagger(kind);
     let wave_len = stagger * flows_per_comp as f64;
     let wave_churn = bridge_wave_churn(comps, flows_per_comp, waves, stagger, CHURN_SEED);
-    let mut backend: Box<dyn NetworkBackend> =
-        Box::new(FluidNetwork::new(kind.build(), NetworkParams::unit()).with_sharded());
+    let mut backend: Box<dyn NetworkBackend> = Box::new(
+        FluidNetwork::new(kind.build(), NetworkParams::unit()).with_mode(EngineMode::Sharded),
+    );
     let mut done = 0usize;
     let mut boundary_shards = Vec::with_capacity(waves);
     for w in 0..waves {

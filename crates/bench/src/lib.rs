@@ -187,38 +187,9 @@ pub fn churn_stagger(kind: ModelKind) -> f64 {
     }
 }
 
-/// Which event-timeline flavor a churn drain runs through — the three
-/// `FluidNetwork` constructors, named for benches and smoke guards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineMode {
-    /// The default engine: lazy finish-time heap + incremental cache.
-    Heap,
-    /// Incremental cache, but linear slab scans for the next event —
-    /// the pre-heap engine, kept as the wall-clock baseline.
-    LinearTimeline,
-    /// Full model requery every settle plus linear scans — the oracle.
-    FullRecompute,
-    /// The heap engine partitioned by conflict component: one cache,
-    /// scratch and timeline per component, settles independent per shard
-    /// (serial dispatch here; benches plug in the sweep executor).
-    Sharded,
-    /// The sharded engine with splitting disabled: bridging arrivals
-    /// still merge shards, but component break-up never carves them back
-    /// apart. The never-refining ablation baseline the `shard_split_smoke`
-    /// guard compares against.
-    ShardedMergeOnly,
-}
-
 /// Builds a fresh unit-parameter engine in the requested mode.
 pub fn churn_engine<M: PenaltyModel>(model: M, mode: EngineMode) -> FluidNetwork<M> {
-    let net = FluidNetwork::new(model, NetworkParams::unit());
-    match mode {
-        EngineMode::Heap => net,
-        EngineMode::LinearTimeline => net.with_linear_timeline(),
-        EngineMode::FullRecompute => net.with_full_recompute(),
-        EngineMode::Sharded => net.with_sharded(),
-        EngineMode::ShardedMergeOnly => net.with_sharded_merge_only(),
-    }
+    FluidNetwork::new(model, NetworkParams::unit()).with_mode(mode)
 }
 
 /// A churn workload of `comps` disjoint conflict components: the
@@ -311,24 +282,8 @@ pub fn bridge_wave_churn(
     out
 }
 
-/// Drains a churn workload through a fresh `FluidNetwork`, returning the
-/// completion count and the cache stats. `full_recompute` selects the
-/// query-every-iteration oracle; `false` runs the default (heap) engine.
-pub fn drain_churn<M: PenaltyModel>(
-    model: M,
-    transfers: &[(u64, netbw::graph::Communication, f64)],
-    full_recompute: bool,
-) -> (usize, netbw::fluid::CacheStats) {
-    let mode = if full_recompute {
-        EngineMode::FullRecompute
-    } else {
-        EngineMode::Heap
-    };
-    let (done, stats, _) = drain_churn_mode(model, transfers, mode);
-    (done, stats)
-}
-
-/// [`drain_churn`] with an explicit [`EngineMode`], also returning the
+/// Drains a churn workload through a fresh unit-parameter engine in the
+/// given mode, returning the completion count, the cache stats and the
 /// event-timeline counters.
 pub fn drain_churn_mode<M: PenaltyModel>(
     model: M,

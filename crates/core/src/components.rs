@@ -7,7 +7,7 @@
 //! baselines count direct conflicts). Two flows in disjoint connected
 //! components of the shared-endpoint graph therefore never influence each
 //! other's penalty — which is the partitioning invariant the sharded fluid
-//! engine (`netbw-fluid`'s `with_sharded` mode) builds on: it simulates
+//! engine (`netbw-fluid`'s `EngineMode::Sharded`) builds on: it simulates
 //! each component on its own timeline and penalty cache.
 //!
 //! [`ComponentTracker`] maintains those connected components incrementally

@@ -178,7 +178,7 @@ impl SweepExecutor {
 }
 
 /// The sweep executor doubles as the settle dispatcher for the sharded
-/// fluid engine ([`netbw_fluid::FluidNetwork::with_sharded_dispatch`]):
+/// fluid engine ([`netbw_fluid::FluidNetwork::with_settle_dispatch`]):
 /// one settle barrier's dirty-shard refreshes are independent one-shot
 /// jobs, exactly the uneven-item workload the work-stealing deques were
 /// built for. Jobs are wrapped in per-item mutexes only to satisfy

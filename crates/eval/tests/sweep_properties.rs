@@ -7,7 +7,7 @@
 
 use netbw_core::{GigabitEthernetModel, MyrinetModel, Penalty, PenaltyModel};
 use netbw_eval::{compare_scheme, parallel_map, EvalSession, SweepExecutor};
-use netbw_fluid::{FluidNetwork, NetworkParams};
+use netbw_fluid::{EngineMode, FluidNetwork, NetworkParams};
 use netbw_graph::schemes;
 use netbw_graph::units::KB;
 use netbw_graph::{Communication, NodeId};
@@ -167,12 +167,14 @@ fn executor_dispatched_shard_settles_match_serial_bit_for_bit() {
     };
     let params = NetworkParams::new(2.0, 0.5);
     let heap = run(FluidNetwork::new(MyrinetModel::default(), params));
-    let serial = run(FluidNetwork::new(MyrinetModel::default(), params).with_sharded());
+    let serial =
+        run(FluidNetwork::new(MyrinetModel::default(), params).with_mode(EngineMode::Sharded));
     assert_eq!(heap.len(), adds.len());
     for threads in [1, 2, 4, 8] {
         let exec = Arc::new(SweepExecutor::new(threads));
-        let par =
-            run(FluidNetwork::new(MyrinetModel::default(), params).with_sharded_dispatch(exec));
+        let par = run(FluidNetwork::new(MyrinetModel::default(), params)
+            .with_mode(EngineMode::Sharded)
+            .with_settle_dispatch(exec));
         assert_eq!(par.len(), heap.len());
         for ((h, s), p) in heap.iter().zip(&serial).zip(&par) {
             assert_eq!(h.key, p.key, "threads={threads}");
@@ -218,7 +220,8 @@ impl PenaltyModel for PoisonModel {
 #[should_panic]
 fn poisoned_shard_panic_propagates_through_settle_barrier() {
     let mut net = FluidNetwork::new(PoisonModel, NetworkParams::new(1.0, 0.0))
-        .with_sharded_dispatch(Arc::new(SweepExecutor::new(4)));
+        .with_mode(EngineMode::Sharded)
+        .with_settle_dispatch(Arc::new(SweepExecutor::new(4)));
     // four disjoint components, all dirty at the first settle barrier;
     // the one where node 13 sends poisons its worker
     for (k, (src, dst)) in [(0u32, 1u32), (4, 5), (8, 9), (13, 12)].iter().enumerate() {

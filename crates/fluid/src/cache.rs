@@ -185,6 +185,17 @@ impl PenaltyCache {
         }
     }
 
+    /// [`Self::fork`] with zeroed counters: the copy continues the same
+    /// population but counts only its own work from here on. A shard
+    /// split forks the kept cache this way, so the aggregate over both
+    /// sides counts the kept shard's history once.
+    pub(crate) fn fork_uncounted(&self) -> PenaltyCache {
+        PenaltyCache {
+            stats: CacheStats::default(),
+            ..self.fork()
+        }
+    }
+
     /// [`Self::fork`] into an existing cache, reusing its allocations.
     /// Identical outcome to `*target = self.fork()` — bitwise, scratch
     /// included — but steady-state re-forks into a warm target allocate

@@ -1,7 +1,7 @@
 //! How the sharded engine hands per-shard settles to an executor.
 //!
-//! [`crate::FluidNetwork::with_sharded`] splits one settle into
-//! independent per-shard penalty refreshes. This crate cannot depend on
+//! The sharded engine modes ([`crate::EngineMode::Sharded`]) split one
+//! settle into independent per-shard penalty refreshes. This crate cannot depend on
 //! `netbw-eval` (the dependency runs the other way), so the engine talks
 //! to whatever executor the caller supplies through the tiny
 //! [`SettleDispatch`] trait: `netbw-eval` implements it for its

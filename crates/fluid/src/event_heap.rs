@@ -28,9 +28,9 @@
 //! ([`TimelineStats::gate_lazy_pops`]) exactly like a re-anchored
 //! completion entry.
 //!
-//! The full-recompute oracle mode keeps the linear scans (see
-//! `ARCHITECTURE.md`, "Event timeline"), which is what lets the
-//! equivalence proptests pin the heap path bit-for-bit.
+//! The full-recompute oracle and the linear-timeline ablation keep linear
+//! scans instead (see `ARCHITECTURE.md`, "Event timeline"), which is what
+//! lets the equivalence proptests pin the heap path bit-for-bit.
 
 use crate::slab::{FlowKey, Slab};
 use std::cmp::Ordering;
@@ -54,7 +54,7 @@ pub struct TimelineStats {
     pub gate_heap_hits: u64,
     /// Stale gate entries discarded on peek/pop — only shard splits make
     /// gate entries stale (migrating a gated flow re-pushes its gate under
-    /// a fresh epoch), so this stays 0 in the unsharded engines.
+    /// a fresh epoch), so this stays 0 in the unpartitioned engines.
     pub gate_lazy_pops: u64,
     /// Settles that fell back to re-syncing the whole active population
     /// (an [`netbw_core::AffectedSet::All`] answer — full recomputes,
@@ -238,6 +238,14 @@ impl EventHeaps {
             self.stats.gate_lazy_pops += 1;
         }
         None
+    }
+
+    /// The earliest live completion or gate: the timeline's next event.
+    pub(crate) fn peek_next<T>(&mut self, slots: &Slab<T>) -> Option<f64> {
+        match (self.peek_finish(slots), self.peek_gate(slots)) {
+            (Some(c), Some(g)) => Some(c.min(g)),
+            (c, g) => c.or(g),
+        }
     }
 
     /// Splices `other`'s entries (and counters) into `self` — the heap

@@ -49,25 +49,34 @@
 //!   completion or latency-gate opening is a heap peek instead of a scan
 //!   over the population: an event costs O(affected + log n) end to end.
 //!
-//! [`FluidNetwork::with_full_recompute`] preserves the pre-refactor
-//! query-every-iteration, scan-every-event behaviour as a correctness
-//! oracle (the proptests assert bitwise-equal completions);
-//! [`FluidNetwork::with_linear_timeline`] keeps the incremental cache but
-//! scans instead of using the heaps, isolating the timeline's contribution
-//! for the benchmarks; [`FluidNetwork::with_sharded`] partitions the
-//! population into conflict-component [`shard`]s — each with its own cache,
-//! scratch and heaps — whose settles are independent and can be dispatched
-//! onto a parallel executor ([`dispatch`]), still bit-for-bit equal to the
-//! other modes because the penalty models are component-local. The
-//! partition refines in both directions: bridging arrivals merge shards
-//! and component-splitting departures carve them back apart, so a
-//! long-lived churning population keeps its fine partition instead of
-//! degrading toward one mega-shard. The one non-local model behaviour — a
-//! Myrinet budget refusal degrades the whole query population — collapses
-//! the partition into a single global shard the first time a shard reports
+//! One [`EngineMode`] selects how that machinery runs; every mode gives
+//! bit-for-bit the same results. The event-driven modes run one event
+//! loop and one settle barrier over a [`shard`] table. The default
+//! [`EngineMode::Heap`] is its one-shard case: a single unpartitioned
+//! shard, with no component tracking. [`EngineMode::Sharded`] partitions
+//! the population into conflict-component shards — each with its own
+//! cache, scratch and heaps — whose settles are independent and can be
+//! dispatched onto a parallel executor ([`dispatch`]), still bit-for-bit
+//! equal because the penalty models are component-local. The partition
+//! refines in both directions: bridging arrivals merge shards and
+//! component-splitting departures carve them back apart, so a long-lived
+//! churning population keeps its fine partition instead of degrading
+//! toward one mega-shard ([`EngineMode::ShardedMergeOnly`] is the
+//! coarsen-only ablation). The one non-local model behaviour — a Myrinet
+//! budget refusal degrades the whole query population — collapses the
+//! partition into a single global shard the first time a shard reports
 //! it, pinned to the offending component so the collapse lifts as soon as
 //! that component departs; equality survives that regime too (see
 //! [`shard`]).
+//!
+//! Two scan modes keep the older engines as baselines:
+//! [`EngineMode::FullRecompute`] (built by
+//! [`FluidNetwork::with_full_recompute`]) re-queries the model on every
+//! settle and scans for every event — the independent correctness oracle
+//! the proptests assert bitwise-equal completions against — and
+//! [`EngineMode::LinearTimeline`] keeps the incremental cache but scans
+//! instead of using the heaps, isolating the timeline's contribution for
+//! the benchmarks.
 
 pub mod cache;
 pub mod dispatch;
@@ -82,7 +91,7 @@ pub mod timeline;
 pub use cache::{CacheStats, PenaltyCache};
 pub use dispatch::{SerialDispatch, SettleDispatch, SettleJob};
 pub use event_heap::TimelineStats;
-pub use network::{AddError, CompletedTransfer, FluidNetwork, TransferKey};
+pub use network::{AddError, CompletedTransfer, EngineMode, FluidNetwork, TransferKey};
 pub use params::NetworkParams;
 pub use shard::ShardStats;
 pub use slab::{FlowKey, Slab};

@@ -23,24 +23,25 @@
 //! and an event probe is a heap peek — no per-event scan over the
 //! population.
 //!
-//! Two ablation modes preserve the older behaviours:
-//! [`FluidNetwork::with_linear_timeline`] keeps the incremental cache but
-//! scans the population for the next completion/gate (the pre-heap
-//! engine), and [`FluidNetwork::with_full_recompute`] additionally
-//! re-queries the model on every settle (the pre-refactor engine). A
-//! fourth mode, [`FluidNetwork::with_sharded`], partitions the population
-//! into conflict-component shards (see [`crate::shard`]) whose settles are
-//! independent and can run in parallel through a
-//! [`crate::dispatch::SettleDispatch`]. All modes share the same
-//! anchored-finish arithmetic, so their results are bit-for-bit identical
-//! — the equivalence proptests pin the fast paths against the
-//! full-recompute oracle exactly.
+//! One [`EngineMode`] picks how that work is organised. The event-driven
+//! modes share one event loop and one settle barrier over a
+//! [`crate::shard`] table: the default [`EngineMode::Heap`] is its
+//! one-shard case, and [`EngineMode::Sharded`] splits the population into
+//! conflict-component shards whose settles are independent and can run in
+//! parallel through a [`crate::dispatch::SettleDispatch`]. Two scan modes
+//! keep the older behaviours as baselines: [`EngineMode::LinearTimeline`]
+//! keeps the incremental cache but scans the population for the next
+//! event, and [`EngineMode::FullRecompute`] additionally re-queries the
+//! model on every settle. All modes share the same anchored-finish
+//! arithmetic, so their results are bit-for-bit identical — the
+//! equivalence proptests pin the fast paths against the full-recompute
+//! oracle exactly.
 
 use crate::cache::{CacheStats, PenaltyCache};
 use crate::dispatch::{SerialDispatch, SettleDispatch, SettleJob};
 use crate::event_heap::{EventHeaps, TimelineStats};
 use crate::params::NetworkParams;
-use crate::shard::{ShardSet, ShardStats, SlotView};
+use crate::shard::{Partition, Shard, ShardSet, ShardStats, SlotView};
 use crate::slab::{FlowKey, RawSlots, Slab};
 use crate::solver::Phase;
 use netbw_core::{AffectedSet, Penalty, PenaltyModel};
@@ -51,6 +52,59 @@ use std::sync::{Arc, Mutex};
 /// ids; the batch solver uses input indices). Distinct from the internal
 /// [`FlowKey`], which names the transfer's slab slot.
 pub type TransferKey = u64;
+
+/// How a [`FluidNetwork`] settles penalties and finds its next event.
+///
+/// Every mode produces bit-for-bit the same completions and phases; they
+/// differ only in how much work a settle costs. The three event-driven
+/// modes run one event loop and one settle barrier over a shard table;
+/// the two scan modes are the baselines that loop is measured and checked
+/// against.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum EngineMode {
+    /// The production engine: lazy finish-time and gate heaps over the
+    /// incremental cache, as the one-shard case of the shard barrier — a
+    /// single unpartitioned shard, with no component tracking.
+    #[default]
+    Heap,
+    /// The incremental cache, but linear slab scans for the next event —
+    /// the pre-heap engine, kept as the reference the heap's wall-clock
+    /// and model-query guards compare against.
+    LinearTimeline,
+    /// A full model query on every settle plus linear scans — the
+    /// independent oracle the equivalence proptests pin every other mode
+    /// against. It shares neither the heaps nor the delta machinery it
+    /// checks.
+    FullRecompute,
+    /// The heap engine partitioned by conflict component: one cache,
+    /// scratch and timeline per component, a settle refreshing only the
+    /// components an event touched (in parallel under
+    /// [`FluidNetwork::with_settle_dispatch`]). Arrivals that bridge
+    /// components merge their shards; departures that break a component
+    /// apart split them again.
+    Sharded,
+    /// [`Self::Sharded`] with departure-driven refinement disabled: the
+    /// partition only ever coarsens. Kept as the ablation baseline of
+    /// refinement — long-lived populations degrade toward one mega-shard
+    /// in this mode.
+    ShardedMergeOnly,
+}
+
+impl EngineMode {
+    /// Whether the mode finds events by scanning the slab instead of
+    /// running the shard barrier loop.
+    fn scans(self) -> bool {
+        matches!(self, EngineMode::LinearTimeline | EngineMode::FullRecompute)
+    }
+
+    fn partition(self) -> Partition {
+        match self {
+            EngineMode::Sharded => Partition::Refine,
+            EngineMode::ShardedMergeOnly => Partition::MergeOnly,
+            _ => Partition::Single,
+        }
+    }
+}
 
 /// Why [`FluidNetwork::try_add`] refused a transfer.
 ///
@@ -158,29 +212,37 @@ pub struct CompletedTransfer {
 }
 
 /// Everything that mutates during a settle or an event, behind one lock:
-/// clock, slots, penalty cache, event heaps, and the reusable buffers that
-/// keep the advance loop allocation-free in steady state.
+/// clock, slots, the shard table (penalty caches and event heaps), and the
+/// reusable buffers that keep the advance loop allocation-free in steady
+/// state.
 struct EngineState {
     time: f64,
     slots: Slab<Slot>,
-    cache: PenaltyCache,
-    events: EventHeaps,
-    /// Conflict-component shards (sharded mode only; empty otherwise).
-    /// The sharded engine ignores the global `cache`/`events` above — each
-    /// shard carries its own.
+    /// One unpartitioned shard in the heap and scan modes (the scan modes
+    /// use only its cache and counters), conflict-component shards in the
+    /// sharded modes.
     shards: ShardSet,
-    /// Staged contending population for the next refresh (recycled with
-    /// the cache's previous population vector).
-    staged: Vec<FlowKey>,
-    /// Communications aligned with `staged` (same recycling).
-    comms_buf: Vec<Communication>,
     /// Gate openings collected at the current event.
     opened: Vec<FlowKey>,
     /// Completions due at the current event.
     due: Vec<FlowKey>,
     /// Endpoint pairs of the completions at the current event, fed to the
-    /// shard table's departure refinement after the batch (sharded mode).
+    /// shard table's departure refinement after the batch (refining
+    /// partition only).
     departed: Vec<Communication>,
+}
+
+impl EngineState {
+    fn new(mode: EngineMode) -> Self {
+        EngineState {
+            time: 0.0,
+            slots: Slab::new(),
+            shards: ShardSet::new(mode.partition()),
+            opened: Vec::new(),
+            due: Vec::new(),
+            departed: Vec::new(),
+        }
+    }
 }
 
 /// A shared network under a penalty model, integrating transfer progress
@@ -192,12 +254,11 @@ pub struct FluidNetwork<M> {
     model: M,
     params: NetworkParams,
     record_phases: bool,
-    full_recompute: bool,
-    heap_timeline: bool,
-    sharded: bool,
-    /// Executor for the per-shard refreshes of a sharded settle barrier
-    /// (the jobs touch disjoint shards, so any order — or any parallel
-    /// schedule — yields the same bits). [`SerialDispatch`] by default.
+    mode: EngineMode,
+    /// Executor for the per-shard refreshes of a settle barrier with more
+    /// than one dirty shard (the jobs touch disjoint shards, so any order
+    /// — or any parallel schedule — yields the same bits).
+    /// [`SerialDispatch`] by default.
     dispatch: Arc<dyn SettleDispatch>,
     // Mutex (uncontended in single-threaded use) because
     // `next_event_time` is `&self` (see `NetworkBackend`) but may need to
@@ -253,14 +314,12 @@ fn resync_slot(
     Some(slot.finish)
 }
 
-/// Re-anchors the flow at position `i` of the settled population via
-/// [`resync_slot`], and (heap mode) bumps the slot epoch and pushes the
-/// new finish entry.
-#[allow(clippy::too_many_arguments)]
-fn resync_position(
+/// Re-anchors a settled flow via [`resync_slot`] and, if its rate
+/// changed, bumps its slot epoch and pushes the new finish entry into its
+/// shard's heap.
+fn reanchor(
     params: &NetworkParams,
     record_phases: bool,
-    heap_timeline: bool,
     now: f64,
     slots: &mut Slab<Slot>,
     events: &mut EventHeaps,
@@ -271,22 +330,19 @@ fn resync_position(
     let Some(finish) = resync_slot(params, record_phases, now, slot, penalty) else {
         return;
     };
-    if heap_timeline {
-        let epoch = slots.bump_epoch(key).expect("settled flow lives in slab");
-        events.push_completion(finish, key, epoch);
-    }
+    let epoch = slots.bump_epoch(key).expect("settled flow lives in slab");
+    events.push_completion(finish, key, epoch);
 }
 
-/// The parallel-barrier counterpart of [`resync_position`], re-anchoring
-/// through a [`RawSlots`] view so the settle jobs of disjoint shards can
-/// run concurrently. Always heap-mode.
+/// [`reanchor`] through a [`RawSlots`] view, so the settle jobs of
+/// disjoint shards can run concurrently.
 ///
 /// # Safety
 /// `key` must be live, and no other concurrent user of the same raw view
 /// may hold it (the dirty shards' settled populations partition the slab,
 /// which the barrier asserts in debug builds). The slab must be
 /// structurally frozen for the view's lifetime.
-unsafe fn resync_raw(
+unsafe fn reanchor_raw(
     params: &NetworkParams,
     record_phases: bool,
     now: f64,
@@ -305,143 +361,123 @@ unsafe fn resync_raw(
     events.push_completion(finish, key, epoch);
 }
 
-/// Settles the penalty cache for the current population and re-anchors
-/// the affected flows' kinetics. Shared by event probing and time
-/// advancement; serves from cache when nothing changed.
-fn settle<M: PenaltyModel>(
-    model: &M,
-    params: &NetworkParams,
-    record_phases: bool,
-    full_recompute: bool,
-    heap_timeline: bool,
-    st: &mut EngineState,
-) {
-    if !full_recompute && st.cache.is_valid() {
-        st.cache.note_reuse();
-        return;
-    }
-    let EngineState {
-        time,
-        slots,
-        cache,
-        events,
-        staged,
-        comms_buf,
-        ..
-    } = st;
-    let now = *time;
-    // Heap mode derives the new population from the previous one plus the
-    // pending change sets — O(contending), independent of how many gated
-    // transfers sit in the slab. The scan modes (and the staging fallback)
-    // gather from the slab directly.
-    let staged_ok = !full_recompute && heap_timeline && cache.staged_active(staged);
-    if !staged_ok {
-        staged.clear();
-        staged.extend(slots.iter().filter(|(_, s)| s.contending).map(|(k, _)| k));
-    }
-    comms_buf.clear();
-    comms_buf.extend(
-        staged
+/// Queries the model for the population staged in `sh.staged`, recycling
+/// the previous population's buffers into `staged`/`comms_buf`. `full`
+/// selects the oracle's stateless full query.
+fn refresh_staged<M: PenaltyModel>(model: &M, slots: &Slab<Slot>, sh: &mut Shard, full: bool) {
+    sh.comms_buf.clear();
+    sh.comms_buf.extend(
+        sh.staged
             .iter()
             .map(|&k| slots.get(k).expect("staged flow lives in slab").comm),
     );
-    let active = std::mem::take(staged);
-    let comms = std::mem::take(comms_buf);
-    let (mut recycled_active, mut recycled_comms) = if full_recompute {
-        // Oracle mode: the pre-refactor full query, bypassing the
-        // delta/scratch machinery entirely.
-        cache.invalidate_rebuild();
-        cache.refresh_full(model, active, comms)
+    let active = std::mem::take(&mut sh.staged);
+    let comms = std::mem::take(&mut sh.comms_buf);
+    let (mut recycled_active, mut recycled_comms) = if full {
+        // The pre-refactor full query, bypassing the delta/scratch
+        // machinery entirely.
+        sh.cache.invalidate_rebuild();
+        sh.cache.refresh_full(model, active, comms)
     } else {
-        cache.refresh(model, active, comms)
+        sh.cache.refresh(model, active, comms)
     };
     recycled_active.clear();
     recycled_comms.clear();
-    *staged = recycled_active;
-    *comms_buf = recycled_comms;
-    if heap_timeline {
-        match cache.take_affected() {
-            AffectedSet::Positions(positions) => {
-                for &i in &positions {
-                    resync_position(
-                        params,
-                        record_phases,
-                        true,
-                        now,
-                        slots,
-                        events,
-                        cache.active()[i],
-                        cache.penalties()[i],
-                    );
-                }
-            }
-            AffectedSet::All => {
-                events.stats.rescans += 1;
-                for i in 0..cache.active().len() {
-                    resync_position(
-                        params,
-                        record_phases,
-                        true,
-                        now,
-                        slots,
-                        events,
-                        cache.active()[i],
-                        cache.penalties()[i],
-                    );
-                }
-            }
-        }
-    } else {
-        // Scan modes re-anchor over the whole population every settle;
-        // the per-flow rate check keeps the arithmetic (and therefore the
-        // results) bitwise identical to the heap path.
-        events.stats.rescans += 1;
-        for i in 0..cache.active().len() {
-            resync_position(
-                params,
-                record_phases,
-                false,
-                now,
-                slots,
-                events,
-                cache.active()[i],
-                cache.penalties()[i],
-            );
-        }
-    }
+    sh.staged = recycled_active;
+    sh.comms_buf = recycled_comms;
 }
 
-/// The sharded settle barrier, in two parallel rounds over the dirty
-/// shards with the cross-shard splice points serialized between them:
+/// Stages every contending flow in slot order — the slab scan.
+fn stage_contending(slots: &Slab<Slot>, staged: &mut Vec<FlowKey>) {
+    staged.clear();
+    staged.extend(slots.iter().filter(|(_, s)| s.contending).map(|(k, _)| k));
+}
+
+/// Round 1 of a settle barrier for one dirty shard: derive its
+/// post-change contending population — from the cache's pending change
+/// sets when possible (O(contending), independent of how many gated
+/// transfers sit in the slab), else by a slot-ordered gather — and run
+/// its penalty query. The gather scans the slab for the unpartitioned
+/// shard and the shard's (lazily compacted) member list otherwise.
+fn stage_and_refresh<M: PenaltyModel>(
+    model: &M,
+    slots: &Slab<Slot>,
+    sh: &mut Shard,
+    partitioned: bool,
+) {
+    if !sh.cache.staged_active(&mut sh.staged) {
+        if partitioned {
+            sh.members.retain(|&k| slots.contains(k));
+            sh.staged.clear();
+            sh.staged.extend(
+                sh.members
+                    .iter()
+                    .copied()
+                    .filter(|&k| slots.get(k).expect("member lives in slab").contending),
+            );
+            sh.staged.sort_unstable_by_key(|k| k.slot_index());
+        } else {
+            stage_contending(slots, &mut sh.staged);
+        }
+    }
+    refresh_staged(model, slots, sh, false);
+}
+
+/// Round 2 of a settle barrier for one shard: hands each flow the model
+/// reported as affected (every flow on an [`AffectedSet::All`] answer,
+/// counted as a rescan) to `reanchor`, with the shard's heaps.
+fn reanchor_affected(sh: &mut Shard, mut reanchor: impl FnMut(&mut EventHeaps, FlowKey, Penalty)) {
+    let Shard { cache, events, .. } = sh;
+    match cache.take_affected() {
+        AffectedSet::Positions(positions) => {
+            for &i in &positions {
+                reanchor(events, cache.active()[i], cache.penalties()[i]);
+            }
+        }
+        AffectedSet::All => {
+            events.stats.rescans += 1;
+            for (&key, &penalty) in cache.active().iter().zip(cache.penalties()) {
+                reanchor(events, key, penalty);
+            }
+        }
+    }
+    sh.dirty = false;
+}
+
+/// The settle barrier of the event-driven modes, in two rounds over the
+/// dirty shards with the cross-shard splice points serialized between
+/// them:
 ///
-/// 1. **Stage + refresh** (parallel): each dirty shard derives its
-///    post-change contending population — from the shard cache's pending
-///    change sets when possible, falling back to a slot-ordered gather
-///    over the shard's (lazily compacted) member list — and runs its
-///    penalty query. The jobs own disjoint shards and read the slab
-///    immutably, so any schedule yields the same bits;
-/// 2. **Re-anchor** (parallel): resync the kinetics of each shard's
-///    affected flows through a [`RawSlots`] view — dirty shards' settled
-///    populations are disjoint slot sets (asserted in debug builds) and
-///    the slab is structurally frozen for the whole barrier, so the jobs
-///    never touch the same entry. The next-event republish stays serial:
-///    it feeds the shared cross-shard heap.
+/// 1. **Stage + refresh** ([`stage_and_refresh`]): each dirty shard
+///    derives its post-change population and runs its penalty query. The
+///    jobs own disjoint shards and read the slab immutably, so any
+///    schedule yields the same bits;
+/// 2. **Re-anchor** ([`reanchor_affected`]): resync the kinetics of each
+///    shard's affected flows. The next-event republish stays serial: it
+///    feeds the shared cross-shard heap.
 ///
-/// Clean shards are never touched, so a settle costs the dirty shards'
-/// O(affected) work — not O(components) — plus the dispatch overhead.
+/// With one dirty shard — always the case for the unpartitioned default
+/// engine — both rounds run inline on the calling thread and re-anchor
+/// through `&mut Slab`: no dispatch, no allocation, no `unsafe`. With two
+/// or more, each round goes to the [`SettleDispatch`], and round 2
+/// re-anchors through a [`RawSlots`] view — dirty shards' settled
+/// populations are disjoint slot sets (asserted in debug builds) and the
+/// slab is structurally frozen for the whole barrier, so the jobs never
+/// touch the same entry. Clean shards are never touched, so a settle
+/// costs the dirty shards' O(affected) work — not O(components).
 ///
 /// One guard sits between the rounds: if any refresh reported a model
-/// budget fallback while more than one shard is live, the barrier
-/// collapses the partition into a single global shard — pinned to the
-/// first offending shard's component root, whose departure un-collapses
-/// it — and restarts at the same instant. A budget-degraded answer
-/// depends on the *whole* query population (see [`crate::shard`]), so
-/// only a global query reproduces the unsharded engine's bits from that
-/// settle on. Keeping the rounds separate is what makes the restart
-/// exact: no flow is re-anchored before the fallback check, so the
-/// global redo starts from the same pre-settle kinetics the unsharded
-/// engine would.
-fn settle_sharded<M: PenaltyModel>(
+/// budget fallback while more than one component shard is live, the
+/// barrier collapses the partition into a single global shard — pinned to
+/// the first offending shard's component root, whose departure
+/// un-collapses it — and restarts at the same instant. A budget-degraded
+/// answer depends on the *whole* query population (see [`crate::shard`]),
+/// so only a global query reproduces the unpartitioned engine's bits from
+/// that settle on. Keeping the rounds separate is what makes the restart
+/// exact: no flow is re-anchored before the fallback check, so the global
+/// redo starts from the same pre-settle kinetics the unpartitioned engine
+/// would.
+fn settle_shards<M: PenaltyModel>(
     model: &M,
     params: &NetworkParams,
     record_phases: bool,
@@ -449,24 +485,18 @@ fn settle_sharded<M: PenaltyModel>(
     st: &mut EngineState,
 ) {
     if st.shards.dirty.is_empty() {
-        if st.shards.live_count() > 0 {
-            st.shards.note_reused_settle();
-        }
+        st.shards.note_reused_settle();
         return;
     }
-    loop {
-        if settle_sharded_barrier(model, params, record_phases, dispatch, st) {
-            return;
-        }
-        // A budget fallback escaped a shard: the partition is gone and
-        // exactly the merged shard is dirty — redo at the same instant.
-    }
+    // A budget fallback escaped a shard: the partition is gone and exactly
+    // the merged shard is dirty — redo at the same instant.
+    while !settle_barrier(model, params, record_phases, dispatch, st) {}
 }
 
 /// One attempt at the two-round barrier. Returns `false` when a budget
 /// fallback forced a [`crate::shard::ShardSet::collapse_all`] — the caller
 /// must rerun the barrier over the merged shard.
-fn settle_sharded_barrier<M: PenaltyModel>(
+fn settle_barrier<M: PenaltyModel>(
     model: &M,
     params: &NetworkParams,
     record_phases: bool,
@@ -480,83 +510,67 @@ fn settle_sharded_barrier<M: PenaltyModel>(
         ..
     } = st;
     let now = *time;
+    let partitioned = shards.is_partitioned();
+    let guard_fallbacks = shards.live_count() > 1;
     let mut dirty = std::mem::take(&mut shards.dirty);
-    dirty.sort_unstable();
-    // Per-shard fallback counts before the queries, so the splice point
-    // can identify which shard's refusal forced a collapse (its component
-    // root becomes the collapse pin).
-    let fallbacks_before: Vec<u64> = dirty
-        .iter()
-        .map(|&id| shards.shard_mut(id).cache.stats().budget_fallbacks)
-        .collect();
-    {
-        // Round 1: stage + refresh. Jobs share the slab read-only.
-        let slots = &*slots;
-        let mut jobs: Vec<SettleJob<'_>> =
-            shards
-                .disjoint_mut(&dirty)
-                .into_iter()
-                .map(|sh| {
-                    SettleJob::new(move || {
-                        if !sh.cache.staged_active(&mut sh.staged) {
-                            // Rebuild gather: compact the member list, then
-                            // stage the shard's contending flows in slot order
-                            // — exactly the slab scan the unsharded engine
-                            // would do, restricted to this shard.
-                            sh.members.retain(|&k| slots.contains(k));
-                            sh.staged.clear();
-                            sh.staged.extend(sh.members.iter().copied().filter(|&k| {
-                                slots.get(k).expect("member lives in slab").contending
-                            }));
-                            sh.staged.sort_unstable_by_key(|k| k.slot_index());
-                        }
-                        sh.comms_buf.clear();
-                        sh.comms_buf.extend(
-                            sh.staged
-                                .iter()
-                                .map(|&k| slots.get(k).expect("staged flow lives in slab").comm),
-                        );
-                        let active = std::mem::take(&mut sh.staged);
-                        let comms = std::mem::take(&mut sh.comms_buf);
-                        let (mut recycled_active, mut recycled_comms) =
-                            sh.cache.refresh(model, active, comms);
-                        recycled_active.clear();
-                        recycled_comms.clear();
-                        sh.staged = recycled_active;
-                        sh.comms_buf = recycled_comms;
-                    })
-                })
-                .collect();
-        dispatch.run_settles(&mut jobs);
-    }
-    if shards.live_count() > 1 {
-        let offender = dirty
-            .iter()
-            .zip(&fallbacks_before)
-            .find(|&(&id, &before)| shards.shard_mut(id).cache.stats().budget_fallbacks > before)
-            .map(|(&id, _)| id);
-        if let Some(offender) = offender {
+    if let [id] = dirty[..] {
+        let sh = shards.shard_mut(id);
+        let fallbacks_before = sh.cache.stats().budget_fallbacks;
+        stage_and_refresh(model, slots, sh, partitioned);
+        if guard_fallbacks && sh.cache.stats().budget_fallbacks > fallbacks_before {
             // Round 2 is skipped: the merged rebuild re-queries and
-            // re-anchors everything from the same pre-settle kinetics,
-            // exactly as the unsharded engine's single global settle
-            // would.
-            let pin = shards.shard_mut(offender).root;
+            // re-anchors everything from the same pre-settle kinetics.
+            let pin = sh.root;
             shards.collapse_all(Some(pin));
             return false;
         }
-    }
-    #[cfg(debug_assertions)]
-    {
-        // The RawSlots round below is sound only if the dirty shards'
-        // settled populations name pairwise-disjoint slots.
-        let mut seen = std::collections::HashSet::new();
-        for &id in &dirty {
-            for &k in shards.shard_mut(id).cache.active() {
-                assert!(seen.insert(k), "shard populations overlap on a slot");
+        reanchor_affected(sh, |events, key, penalty| {
+            reanchor(params, record_phases, now, slots, events, key, penalty)
+        });
+    } else {
+        dirty.sort_unstable();
+        // Per-shard fallback counts before the queries, so the splice
+        // point can identify which shard's refusal forced a collapse (its
+        // component root becomes the collapse pin).
+        let fallbacks_before: Vec<u64> = dirty
+            .iter()
+            .map(|&id| shards.shard_mut(id).cache.stats().budget_fallbacks)
+            .collect();
+        {
+            // Round 1: stage + refresh. Jobs share the slab read-only.
+            let slots = &*slots;
+            let mut jobs: Vec<SettleJob<'_>> = shards
+                .disjoint_mut(&dirty)
+                .into_iter()
+                .map(|sh| SettleJob::new(move || stage_and_refresh(model, slots, sh, partitioned)))
+                .collect();
+            dispatch.run_settles(&mut jobs);
+        }
+        if guard_fallbacks {
+            let offender = dirty
+                .iter()
+                .zip(&fallbacks_before)
+                .find(|&(&id, &before)| {
+                    shards.shard_mut(id).cache.stats().budget_fallbacks > before
+                })
+                .map(|(&id, _)| id);
+            if let Some(offender) = offender {
+                let pin = shards.shard_mut(offender).root;
+                shards.collapse_all(Some(pin));
+                return false;
             }
         }
-    }
-    {
+        #[cfg(debug_assertions)]
+        {
+            // The RawSlots round below is sound only if the dirty shards'
+            // settled populations name pairwise-disjoint slots.
+            let mut seen = std::collections::HashSet::new();
+            for &id in &dirty {
+                for &k in shards.shard_mut(id).cache.active() {
+                    assert!(seen.insert(k), "shard populations overlap on a slot");
+                }
+            }
+        }
         // Round 2: re-anchor the affected flows of each dirty shard.
         let raw = slots.raw();
         let mut jobs: Vec<SettleJob<'_>> = shards
@@ -564,49 +578,14 @@ fn settle_sharded_barrier<M: PenaltyModel>(
             .into_iter()
             .map(|sh| {
                 SettleJob::new(move || {
-                    match sh.cache.take_affected() {
-                        AffectedSet::Positions(positions) => {
-                            for &i in &positions {
-                                let key = sh.cache.active()[i];
-                                let penalty = sh.cache.penalties()[i];
-                                // SAFETY: `key` sits in this shard's
-                                // settled population, disjoint from every
-                                // other job's; the slab is frozen for the
-                                // whole barrier.
-                                unsafe {
-                                    resync_raw(
-                                        params,
-                                        record_phases,
-                                        now,
-                                        raw,
-                                        &mut sh.events,
-                                        key,
-                                        penalty,
-                                    );
-                                }
-                            }
+                    reanchor_affected(sh, |events, key, penalty| {
+                        // SAFETY: `key` sits in this shard's settled
+                        // population, disjoint from every other job's;
+                        // the slab is frozen for the whole barrier.
+                        unsafe {
+                            reanchor_raw(params, record_phases, now, raw, events, key, penalty)
                         }
-                        AffectedSet::All => {
-                            sh.events.stats.rescans += 1;
-                            for i in 0..sh.cache.active().len() {
-                                let key = sh.cache.active()[i];
-                                let penalty = sh.cache.penalties()[i];
-                                // SAFETY: as above.
-                                unsafe {
-                                    resync_raw(
-                                        params,
-                                        record_phases,
-                                        now,
-                                        raw,
-                                        &mut sh.events,
-                                        key,
-                                        penalty,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    sh.dirty = false;
+                    })
                 })
             })
             .collect();
@@ -621,48 +600,99 @@ fn settle_sharded_barrier<M: PenaltyModel>(
     true
 }
 
-/// The earliest cached finish among contending flows, by scanning the
-/// slab — the linear-timeline/oracle counterpart of the heap peek.
-fn scan_next_finish(slots: &Slab<Slot>) -> Option<f64> {
+/// The scan modes' settle: re-gathers the population from the slab and
+/// re-queries the one shard's cache when it is invalid (always, for the
+/// oracle), then re-anchors every contending flow — the per-flow rate
+/// check keeps the arithmetic (and therefore the results) bitwise
+/// identical to the heap path. No heap is touched.
+fn settle_scan<M: PenaltyModel>(
+    model: &M,
+    params: &NetworkParams,
+    record_phases: bool,
+    full_recompute: bool,
+    st: &mut EngineState,
+) {
+    let EngineState {
+        time,
+        slots,
+        shards,
+        ..
+    } = st;
+    let sh = shards.shard_mut(0);
+    if !full_recompute && sh.cache.is_valid() {
+        sh.cache.note_reuse();
+        return;
+    }
+    stage_contending(slots, &mut sh.staged);
+    refresh_staged(model, slots, sh, full_recompute);
+    sh.events.stats.rescans += 1;
+    for (&key, &penalty) in sh.cache.active().iter().zip(sh.cache.penalties()) {
+        let slot = slots.get_mut(key).expect("settled flow lives in slab");
+        resync_slot(params, record_phases, *time, slot, penalty);
+    }
+}
+
+/// The earliest cached finish among contending flows or unopened gate, by
+/// scanning the slab — the scan modes' counterpart of the heap peek.
+fn scan_next_event(slots: &Slab<Slot>, now: f64) -> Option<f64> {
     slots
         .iter()
-        .filter(|(_, s)| s.contending)
-        .map(|(_, s)| s.finish)
+        .filter_map(|(_, s)| {
+            if s.contending {
+                Some(s.finish)
+            } else {
+                (s.gate > now + TIME_EPS).then_some(s.gate)
+            }
+        })
         .min_by(f64::total_cmp)
 }
 
-/// The earliest unopened gate, by scanning the slab.
-fn scan_next_gate(slots: &Slab<Slot>, now: f64) -> Option<f64> {
-    slots
-        .iter()
-        .filter(|(_, s)| !s.contending && s.gate > now + TIME_EPS)
-        .map(|(_, s)| s.gate)
-        .min_by(f64::total_cmp)
+/// Removes a due flow from the slab, closing its last phase, and returns
+/// its completion record and endpoints.
+fn complete(
+    slots: &mut Slab<Slot>,
+    flow: FlowKey,
+    now: f64,
+    record_phases: bool,
+) -> (CompletedTransfer, Communication) {
+    let mut slot = slots.remove(flow).expect("due flow lives in slab");
+    if record_phases && slot.rate > 0.0 && now > slot.anchor {
+        push_phase(&mut slot.phases, slot.anchor, now, slot.penalty);
+    }
+    debug_assert!(
+        slot.remaining - slot.rate * (now - slot.anchor) <= slot.eps,
+        "flow {flow} completed with bytes left"
+    );
+    let done = CompletedTransfer {
+        key: slot.key,
+        completion: now,
+        phases: slot.phases,
+    };
+    (done, slot.comm)
+}
+
+/// Marks each opened flow as contending and notes it as an arrival.
+fn open_gates(slots: &mut Slab<Slot>, cache: &mut PenaltyCache, opened: &[FlowKey]) {
+    for &flow in opened {
+        slots
+            .get_mut(flow)
+            .expect("gated flow lives in slab")
+            .contending = true;
+        cache.note_arrival(flow);
+    }
 }
 
 impl<M: PenaltyModel> FluidNetwork<M> {
-    /// Creates an idle network at time 0, using the event-heap timeline.
+    /// Creates an idle network at time 0 in the default
+    /// [`EngineMode::Heap`].
     pub fn new(model: M, params: NetworkParams) -> Self {
         FluidNetwork {
             model,
             params,
             record_phases: false,
-            full_recompute: false,
-            heap_timeline: true,
-            sharded: false,
+            mode: EngineMode::Heap,
             dispatch: Arc::new(SerialDispatch),
-            state: Mutex::new(EngineState {
-                time: 0.0,
-                slots: Slab::new(),
-                cache: PenaltyCache::new(),
-                events: EventHeaps::default(),
-                shards: ShardSet::default(),
-                staged: Vec::new(),
-                comms_buf: Vec::new(),
-                opened: Vec::new(),
-                due: Vec::new(),
-                departed: Vec::new(),
-            }),
+            state: Mutex::new(EngineState::new(EngineMode::Heap)),
         }
     }
 
@@ -672,62 +702,38 @@ impl<M: PenaltyModel> FluidNetwork<M> {
         self
     }
 
-    /// Keeps the incremental penalty cache but finds events by scanning
-    /// the population instead of through the lazy heaps — the pre-heap
-    /// engine. Kept as the honest baseline for benchmarking the timeline's
-    /// contribution in isolation.
-    pub fn with_linear_timeline(mut self) -> Self {
-        self.heap_timeline = false;
+    /// Selects the engine mode. Results are bit-for-bit the same in every
+    /// mode; see [`EngineMode`] for what each one costs.
+    ///
+    /// # Panics
+    /// If transfers were already added: the mode is chosen up front.
+    pub fn with_mode(mut self, mode: EngineMode) -> Self {
+        let st = self.state.get_mut().expect("engine state lock");
+        assert!(
+            st.slots.is_empty() && st.time == 0.0,
+            "the engine mode is chosen before the first transfer"
+        );
+        *st = EngineState::new(mode);
+        self.mode = mode;
         self
     }
 
-    /// Disables the incremental penalty cache *and* the heap timeline:
-    /// the model is re-queried and the population re-scanned on every
-    /// solver iteration, as the pre-refactor engine did. Slowest; kept as
-    /// the equivalence oracle the proptests pin the fast paths against.
-    pub fn with_full_recompute(mut self) -> Self {
-        self.full_recompute = true;
-        self.heap_timeline = false;
-        self
+    /// [`EngineMode::FullRecompute`]: the model is re-queried and the
+    /// population re-scanned on every solver iteration, as the
+    /// pre-refactor engine did. Slowest; kept as the equivalence oracle
+    /// the proptests pin the fast paths against.
+    pub fn with_full_recompute(self) -> Self {
+        self.with_mode(EngineMode::FullRecompute)
     }
 
-    /// Shards the engine by conflict component: each connected component
-    /// of the shared-endpoint graph gets its own penalty cache (with its
-    /// own model scratch) and event heaps, and a settle refreshes only the
-    /// components an event actually touched. The penalty models are
-    /// component-local, so the results are bit-for-bit identical to the
-    /// other modes'; what changes is that the per-shard refreshes are
-    /// independent — hand them to a parallel executor with
-    /// [`Self::with_sharded_dispatch`]. Overrides any earlier timeline
-    /// mode choice.
-    pub fn with_sharded(mut self) -> Self {
-        self.sharded = true;
-        self.heap_timeline = true;
-        self.full_recompute = false;
-        self
-    }
-
-    /// [`Self::with_sharded`] with the dirty shards of each settle barrier
-    /// dispatched through `dispatch` instead of run serially — the
+    /// Runs the per-shard refreshes of every settle barrier with two or
+    /// more dirty shards through `dispatch` instead of serially — the
     /// work-stealing executor in `netbw-eval` implements
-    /// [`SettleDispatch`] for exactly this.
-    pub fn with_sharded_dispatch(mut self, dispatch: Arc<dyn SettleDispatch>) -> Self {
+    /// [`SettleDispatch`] for exactly this. Only [`EngineMode::Sharded`]
+    /// and [`EngineMode::ShardedMergeOnly`] ever have more than one shard.
+    pub fn with_settle_dispatch(mut self, dispatch: Arc<dyn SettleDispatch>) -> Self {
         self.dispatch = dispatch;
-        self.with_sharded()
-    }
-
-    /// [`Self::with_sharded`] with departure-driven refinement disabled:
-    /// the partition only ever coarsens, as it did before shard splitting
-    /// landed. Kept as the ablation baseline the split benchmarks compare
-    /// against — long-lived populations degrade toward one mega-shard in
-    /// this mode.
-    pub fn with_sharded_merge_only(mut self) -> Self {
-        self.state
-            .get_mut()
-            .expect("engine state lock")
-            .shards
-            .merge_only = true;
-        self.with_sharded()
+        self
     }
 
     /// Current simulation time.
@@ -751,31 +757,29 @@ impl<M: PenaltyModel> FluidNetwork<M> {
     }
 
     /// Penalty-cache counters: model queries, cache reuses, invalidations.
-    /// In sharded mode this is the aggregate over every shard cache, past
-    /// and present (merged-away shards included).
+    /// In the sharded modes this is the aggregate over every shard cache,
+    /// past and present (merged-away shards included).
     pub fn cache_stats(&self) -> CacheStats {
-        let st = self.state.lock().expect("engine state lock");
-        if self.sharded {
-            st.shards.cache_stats()
-        } else {
-            st.cache.stats()
-        }
+        self.state
+            .lock()
+            .expect("engine state lock")
+            .shards
+            .cache_stats()
     }
 
     /// Event-timeline counters: heap pushes, stale entries discarded,
-    /// gate-heap traffic, full-population rescans. In sharded mode this is
-    /// the aggregate over every shard timeline.
+    /// gate-heap traffic, full-population rescans. In the sharded modes
+    /// this is the aggregate over every shard timeline.
     pub fn timeline_stats(&self) -> TimelineStats {
-        let st = self.state.lock().expect("engine state lock");
-        if self.sharded {
-            st.shards.timeline_stats()
-        } else {
-            st.events.stats
-        }
+        self.state
+            .lock()
+            .expect("engine state lock")
+            .shards
+            .timeline_stats()
     }
 
-    /// Number of live conflict-component shards (always 0 unless built
-    /// with [`Self::with_sharded`]).
+    /// Number of live conflict-component shards (always 0 outside the
+    /// sharded modes).
     pub fn shard_count(&self) -> usize {
         self.state
             .lock()
@@ -785,8 +789,8 @@ impl<M: PenaltyModel> FluidNetwork<M> {
     }
 
     /// Partition-shape counters: live shard count plus cumulative splits,
-    /// merges, drains and budget collapses/un-collapses (all zero unless
-    /// built with [`Self::with_sharded`]).
+    /// merges, drains and budget collapses/un-collapses (all zero outside
+    /// the sharded modes).
     pub fn shard_stats(&self) -> ShardStats {
         self.state
             .lock()
@@ -807,8 +811,6 @@ impl<M: PenaltyModel> FluidNetwork<M> {
         let st = self.state.get_mut().expect("engine state lock");
         st.time = 0.0;
         st.slots.clear();
-        st.cache.reset();
-        st.events.clear();
         st.shards.reset();
     }
 
@@ -839,7 +841,6 @@ impl<M: PenaltyModel> FluidNetwork<M> {
         comm: Communication,
         start: f64,
     ) -> Result<(), AddError> {
-        let heap_timeline = self.heap_timeline;
         let latency = self.params.latency;
         let st = self.state.get_mut().expect("engine state lock");
         if !start.is_finite() {
@@ -851,10 +852,11 @@ impl<M: PenaltyModel> FluidNetwork<M> {
                 now: st.time,
             });
         }
-        // Sharded mode routes the endpoints through the component tracker
-        // up front (gated flows included, so every flow has a shard home);
-        // a flow bridging two components merges their shards here.
-        let shard_id = self.sharded.then(|| st.shards.assign(&comm));
+        // A partitioned table routes the endpoints through the component
+        // tracker up front (gated flows included, so every flow has a
+        // shard home); a flow bridging two components merges their shards
+        // here.
+        let id = st.shards.assign(&comm);
         let size = comm.size as f64;
         let gate = start.max(st.time) + latency;
         let contending = gate <= st.time + TIME_EPS;
@@ -871,23 +873,16 @@ impl<M: PenaltyModel> FluidNetwork<M> {
             eps: (size * REL_EPS).max(1e-9),
             phases: Vec::new(),
         });
-        let epoch = st.slots.epoch(flow).expect("just-inserted flow is live");
-        if let Some(id) = shard_id {
-            let sh = st.shards.shard_mut(id);
-            sh.members.push(flow);
+        if self.mode.scans() {
+            // Gated slots enter the population when a scan finds the
+            // clock past their gate.
             if contending {
-                sh.cache.note_arrival(flow);
-                st.shards.mark_dirty(id);
-            } else {
-                sh.events.push_gate(gate, flow, epoch);
+                st.shards.shard_mut(id).cache.note_arrival(flow);
             }
-            st.shards.refresh_next(id, &st.slots);
-        } else if contending {
-            // Contending immediately; gated slots enter the population
-            // when the clock crosses their gate.
-            st.cache.note_arrival(flow);
-        } else if heap_timeline {
-            st.events.push_gate(gate, flow, epoch);
+        } else {
+            let epoch = st.slots.epoch(flow).expect("just-inserted flow is live");
+            let gate = (!contending).then_some((gate, epoch));
+            st.shards.admit(id, flow, gate, &st.slots);
         }
         Ok(())
     }
@@ -899,41 +894,15 @@ impl<M: PenaltyModel> FluidNetwork<M> {
         if st.slots.is_empty() {
             return None;
         }
-        if self.sharded {
-            settle_sharded(
-                &self.model,
-                &self.params,
-                self.record_phases,
-                &*self.dispatch,
-                &mut st,
-            );
-            return st.shards.peek_next();
+        let (model, params, record_phases) = (&self.model, &self.params, self.record_phases);
+        if self.mode.scans() {
+            let full = self.mode == EngineMode::FullRecompute;
+            settle_scan(model, params, record_phases, full, &mut st);
+            return scan_next_event(&st.slots, st.time);
         }
-        settle(
-            &self.model,
-            &self.params,
-            self.record_phases,
-            self.full_recompute,
-            self.heap_timeline,
-            &mut st,
-        );
-        let EngineState {
-            time,
-            slots,
-            events,
-            ..
-        } = &mut *st;
-        let (completion, gate) = if self.heap_timeline {
-            (events.peek_finish(slots), events.peek_gate(slots))
-        } else {
-            (scan_next_finish(slots), scan_next_gate(slots, *time))
-        };
-        match (completion, gate) {
-            (None, None) => None,
-            (Some(c), None) => Some(c),
-            (None, Some(g)) => Some(g),
-            (Some(c), Some(g)) => Some(c.min(g)),
-        }
+        settle_shards(model, params, record_phases, &*self.dispatch, &mut st);
+        let EngineState { slots, shards, .. } = &mut *st;
+        shards.peek_next(slots)
     }
 
     /// Advances the clock to `t`, returning every transfer that completed
@@ -942,157 +911,31 @@ impl<M: PenaltyModel> FluidNetwork<M> {
     /// # Panics
     /// If `t` is before the current time.
     pub fn advance_to(&mut self, t: f64) -> Vec<CompletedTransfer> {
-        if self.sharded {
-            return self.advance_to_sharded(t);
-        }
-        let Self {
-            model,
-            params,
-            record_phases,
-            full_recompute,
-            heap_timeline,
-            state,
-            ..
-        } = self;
-        let (record_phases, full_recompute, heap_timeline) =
-            (*record_phases, *full_recompute, *heap_timeline);
-        let st = state.get_mut().expect("engine state lock");
+        let st = self.state.get_mut().expect("engine state lock");
         assert!(
             t >= st.time - 1e-12,
             "cannot advance backwards ({} -> {t})",
             st.time
         );
-        let mut done = Vec::new();
-        loop {
-            settle(
-                model,
-                params,
-                record_phases,
-                full_recompute,
-                heap_timeline,
-                st,
-            );
-            let EngineState {
-                time,
-                slots,
-                cache,
-                events,
-                opened,
-                due,
-                ..
-            } = st;
-            let (completion, gate) = if heap_timeline {
-                (events.peek_finish(slots), events.peek_gate(slots))
-            } else {
-                (scan_next_finish(slots), scan_next_gate(slots, *time))
-            };
-            let event = match (completion, gate) {
-                (None, None) => None,
-                (Some(c), None) => Some(c),
-                (None, Some(g)) => Some(g),
-                (Some(c), Some(g)) => Some(c.min(g)),
-            };
-            let e = match event {
-                Some(e) if e <= t => e,
-                _ => {
-                    // Nothing further happens before the target time; a
-                    // gate within epsilon of `t` still opens (it will be
-                    // settled on the next call).
-                    *time = time.max(t);
-                    let now = *time;
-                    opened.clear();
-                    if heap_timeline {
-                        events.pop_gates_through(now + TIME_EPS, slots, opened);
-                    } else {
-                        opened.extend(
-                            slots
-                                .iter()
-                                .filter(|(_, s)| !s.contending && s.gate <= now + TIME_EPS)
-                                .map(|(k, _)| k),
-                        );
-                    }
-                    for &flow in opened.iter() {
-                        slots
-                            .get_mut(flow)
-                            .expect("gated flow lives in slab")
-                            .contending = true;
-                        cache.note_arrival(flow);
-                    }
-                    break;
-                }
-            };
-            *time = time.max(e);
-            let now = *time;
-
-            // Latency gates crossing `e` open first: their flows join the
-            // population in the same settle that sees any simultaneous
-            // completions (one chained Mixed delta).
-            opened.clear();
-            if heap_timeline {
-                events.pop_gates_through(now + TIME_EPS, slots, opened);
-            } else {
-                opened.extend(
-                    slots
-                        .iter()
-                        .filter(|(_, s)| !s.contending && s.gate <= now + TIME_EPS)
-                        .map(|(k, _)| k),
-                );
-            }
-            for &flow in opened.iter() {
-                slots
-                    .get_mut(flow)
-                    .expect("gated flow lives in slab")
-                    .contending = true;
-                cache.note_arrival(flow);
-            }
-
-            // Completions due at `e`: every live heap entry (= every
-            // contending flow) whose cached finish time has arrived. Keys
-            // are stable, so removals leave the surviving flows (and the
-            // cache's view of them) untouched.
-            due.clear();
-            if heap_timeline {
-                events.pop_due_completions(now, slots, due);
-            } else {
-                due.extend(
-                    slots
-                        .iter()
-                        .filter(|(_, s)| s.contending && s.finish <= now)
-                        .map(|(k, _)| k),
-                );
-            }
-            let batch_start = done.len();
-            for &flow in due.iter() {
-                if record_phases {
-                    let slot = slots.get_mut(flow).expect("due flow lives in slab");
-                    if slot.rate > 0.0 && now > slot.anchor {
-                        push_phase(&mut slot.phases, slot.anchor, now, slot.penalty);
-                    }
-                }
-                let slot = slots.remove(flow).expect("due flow lives in slab");
-                debug_assert!(
-                    slot.remaining - slot.rate * (now - slot.anchor) <= slot.eps,
-                    "flow {flow} completed with bytes left"
-                );
-                cache.note_departure(flow);
-                done.push(CompletedTransfer {
-                    key: slot.key,
-                    completion: now,
-                    phases: slot.phases,
-                });
-            }
-            done[batch_start..].sort_by_key(|c| c.key);
+        if self.mode.scans() {
+            self.advance_scanning(t)
+        } else {
+            self.advance_shards(t)
         }
-        done
     }
 
-    /// The sharded advance loop. Mirrors [`Self::advance_to`]'s event
-    /// structure exactly — same time bounds, same gates-before-completions
-    /// folding at an instant, same per-batch key sort — but pops events
-    /// from the candidate shards' heaps (via the cross-shard heap) instead
-    /// of global ones, and dirties only those shards, so the following
-    /// settle refreshes just the components the event touched.
-    fn advance_to_sharded(&mut self, t: f64) -> Vec<CompletedTransfer> {
+    /// The event loop of the event-driven modes. Each iteration settles
+    /// the dirty shards, then processes the next event if it falls within
+    /// `t`: every shard whose next event falls within the instant is a
+    /// candidate, whose gates crossing it open first (joining the same
+    /// settle as any simultaneous completions), then whose due completions
+    /// are removed — per shard, in ascending shard order, which the final
+    /// per-batch key sort makes order-independent. Only the candidate
+    /// shards are dirtied, so the following settle refreshes just the
+    /// components the event touched. When nothing further happens before
+    /// `t`, the clock moves to `t` and gates within epsilon of it still
+    /// open (they are settled on the next call).
+    fn advance_shards(&mut self, t: f64) -> Vec<CompletedTransfer> {
         let Self {
             model,
             params,
@@ -1104,14 +947,9 @@ impl<M: PenaltyModel> FluidNetwork<M> {
         let record_phases = *record_phases;
         let dispatch = &**dispatch;
         let st = state.get_mut().expect("engine state lock");
-        assert!(
-            t >= st.time - 1e-12,
-            "cannot advance backwards ({} -> {t})",
-            st.time
-        );
         let mut done = Vec::new();
         loop {
-            settle_sharded(model, params, record_phases, dispatch, st);
+            settle_shards(model, params, record_phases, dispatch, st);
             let EngineState {
                 time,
                 slots,
@@ -1119,44 +957,11 @@ impl<M: PenaltyModel> FluidNetwork<M> {
                 opened,
                 due,
                 departed,
-                ..
             } = st;
-            let e = match shards.peek_next() {
-                Some(e) if e <= t => e,
-                _ => {
-                    // Nothing further happens before the target time; a
-                    // gate within epsilon of `t` still opens (it will be
-                    // settled on the next call).
-                    *time = time.max(t);
-                    let now = *time;
-                    let candidates = shards.take_candidates(now + TIME_EPS);
-                    for &id in &candidates {
-                        opened.clear();
-                        let sh = shards.shard_mut(id);
-                        sh.events.pop_gates_through(now + TIME_EPS, slots, opened);
-                        for &flow in opened.iter() {
-                            slots
-                                .get_mut(flow)
-                                .expect("gated flow lives in slab")
-                                .contending = true;
-                            sh.cache.note_arrival(flow);
-                        }
-                        if !opened.is_empty() {
-                            shards.mark_dirty(id);
-                        }
-                        shards.refresh_next(id, slots);
-                    }
-                    shards.recycle_candidates(candidates);
-                    break;
-                }
-            };
-            *time = time.max(e);
+            let event = shards.peek_next(slots).filter(|&e| e <= t);
+            *time = time.max(event.unwrap_or(t));
             let now = *time;
-            // Every shard whose next event falls within the instant is a
-            // candidate: gates crossing `e` open first (joining the same
-            // settle as any simultaneous completions), then due
-            // completions are removed — per shard, in ascending shard
-            // order, which the final key sort makes order-independent.
+            let refines = shards.refines();
             let candidates = shards.take_candidates(now + TIME_EPS);
             let batch_start = done.len();
             for &id in &candidates {
@@ -1164,33 +969,17 @@ impl<M: PenaltyModel> FluidNetwork<M> {
                 due.clear();
                 let sh = shards.shard_mut(id);
                 sh.events.pop_gates_through(now + TIME_EPS, slots, opened);
-                sh.events.pop_due_completions(now, slots, due);
-                for &flow in opened.iter() {
-                    slots
-                        .get_mut(flow)
-                        .expect("gated flow lives in slab")
-                        .contending = true;
-                    sh.cache.note_arrival(flow);
+                if event.is_some() {
+                    sh.events.pop_due_completions(now, slots, due);
                 }
+                open_gates(slots, &mut sh.cache, opened);
                 for &flow in due.iter() {
-                    if record_phases {
-                        let slot = slots.get_mut(flow).expect("due flow lives in slab");
-                        if slot.rate > 0.0 && now > slot.anchor {
-                            push_phase(&mut slot.phases, slot.anchor, now, slot.penalty);
-                        }
-                    }
-                    let slot = slots.remove(flow).expect("due flow lives in slab");
-                    debug_assert!(
-                        slot.remaining - slot.rate * (now - slot.anchor) <= slot.eps,
-                        "flow {flow} completed with bytes left"
-                    );
+                    let (completed, comm) = complete(slots, flow, now, record_phases);
                     sh.cache.note_departure(flow);
-                    departed.push(slot.comm);
-                    done.push(CompletedTransfer {
-                        key: slot.key,
-                        completion: now,
-                        phases: slot.phases,
-                    });
+                    if refines {
+                        departed.push(comm);
+                    }
+                    done.push(completed);
                 }
                 if !opened.is_empty() || !due.is_empty() {
                     shards.mark_dirty(id);
@@ -1198,10 +987,13 @@ impl<M: PenaltyModel> FluidNetwork<M> {
                 shards.refresh_next(id, slots);
             }
             shards.recycle_candidates(candidates);
+            if event.is_none() {
+                break;
+            }
             done[batch_start..].sort_by_key(|c| c.key);
             if slots.is_empty() {
                 // Quiescent barrier: the population drained to empty, so
-                // every shard is memberless and the partition — including
+                // every shard is memberless and a partition — including
                 // a collapse pin left by a Myrinet budget fallback — can
                 // be forgotten. The next churn phase re-partitions from
                 // scratch instead of inheriting a degraded single-shard
@@ -1222,6 +1014,65 @@ impl<M: PenaltyModel> FluidNetwork<M> {
         done
     }
 
+    /// The event loop of the scan modes: the same event structure as
+    /// [`Self::advance_shards`] (same time bounds, same
+    /// gates-before-completions folding at an instant, same per-batch key
+    /// sort), with every event found by scanning the slab and every
+    /// change noted on the one shard's cache.
+    fn advance_scanning(&mut self, t: f64) -> Vec<CompletedTransfer> {
+        let Self {
+            model,
+            params,
+            record_phases,
+            mode,
+            state,
+            ..
+        } = self;
+        let (record_phases, full) = (*record_phases, *mode == EngineMode::FullRecompute);
+        let st = state.get_mut().expect("engine state lock");
+        let mut done = Vec::new();
+        loop {
+            settle_scan(model, params, record_phases, full, st);
+            let EngineState {
+                time,
+                slots,
+                shards,
+                opened,
+                due,
+                ..
+            } = st;
+            let cache = &mut shards.shard_mut(0).cache;
+            let event = scan_next_event(slots, *time).filter(|&e| e <= t);
+            *time = time.max(event.unwrap_or(t));
+            let now = *time;
+            opened.clear();
+            opened.extend(
+                slots
+                    .iter()
+                    .filter(|(_, s)| !s.contending && s.gate <= now + TIME_EPS)
+                    .map(|(k, _)| k),
+            );
+            open_gates(slots, cache, opened);
+            if event.is_none() {
+                break;
+            }
+            due.clear();
+            due.extend(
+                slots
+                    .iter()
+                    .filter(|(_, s)| s.contending && s.finish <= now)
+                    .map(|(k, _)| k),
+            );
+            let batch_start = done.len();
+            for &flow in due.iter() {
+                done.push(complete(slots, flow, now, record_phases).0);
+                cache.note_departure(flow);
+            }
+            done[batch_start..].sort_by_key(|c| c.key);
+        }
+        done
+    }
+
     /// Drains the network: advances until every transfer completes.
     pub fn run_to_completion(&mut self) -> Vec<CompletedTransfer> {
         let mut done = Vec::new();
@@ -1234,12 +1085,12 @@ impl<M: PenaltyModel> FluidNetwork<M> {
 
 impl<M: PenaltyModel + Clone> FluidNetwork<M> {
     /// An independent deep copy of the warm engine: clock, slab (keys,
-    /// generations and epochs verbatim), penalty cache with its model
-    /// scratch (via [`netbw_core::ModelScratch::fork`]), event heaps, and
-    /// — in sharded mode — the whole shard table. The fork and the
-    /// original evolve independently from here on and produce bit-for-bit
-    /// the results a rebuild-and-replay of the same history would (pinned
-    /// by the `fork_equivalence` proptests).
+    /// generations and epochs verbatim) and the whole shard table —
+    /// penalty caches with their model scratch (via
+    /// [`netbw_core::ModelScratch::fork`]) and event heaps. The fork and
+    /// the original evolve independently from here on and produce
+    /// bit-for-bit the results a rebuild-and-replay of the same history
+    /// would (pinned by the `fork_equivalence` proptests).
     ///
     /// The model itself is cloned, so share an immutable model cheaply by
     /// instantiating the network over `Arc<dyn PenaltyModel>` (models are
@@ -1255,18 +1106,12 @@ impl<M: PenaltyModel + Clone> FluidNetwork<M> {
             model: self.model.clone(),
             params: self.params,
             record_phases: self.record_phases,
-            full_recompute: self.full_recompute,
-            heap_timeline: self.heap_timeline,
-            sharded: self.sharded,
+            mode: self.mode,
             dispatch: Arc::clone(&self.dispatch),
             state: Mutex::new(EngineState {
                 time: st.time,
                 slots: st.slots.clone(),
-                cache: st.cache.fork(),
-                events: st.events.clone(),
                 shards: st.shards.fork(),
-                staged: Vec::new(),
-                comms_buf: Vec::new(),
                 opened: Vec::new(),
                 due: Vec::new(),
                 departed: Vec::new(),
@@ -1275,9 +1120,9 @@ impl<M: PenaltyModel + Clone> FluidNetwork<M> {
     }
 
     /// [`Self::fork`] into an existing engine, reusing `target`'s
-    /// allocations all the way down: slab, penalty cache (model scratch
-    /// included, via [`netbw_core::ModelScratch::fork_into`]), event
-    /// heaps, and — in sharded mode — the whole shard table clone in
+    /// allocations all the way down: slab and the whole shard table —
+    /// penalty caches (model scratch included, via
+    /// [`netbw_core::ModelScratch::fork_into`]) and event heaps clone in
     /// place. The outcome is bitwise indistinguishable from
     /// `*target = self.fork()` (pinned by the `rebase_equivalence`
     /// proptests), but a steady-state re-fork into a warm target
@@ -1292,18 +1137,12 @@ impl<M: PenaltyModel + Clone> FluidNetwork<M> {
         target.model = self.model.clone();
         target.params = self.params;
         target.record_phases = self.record_phases;
-        target.full_recompute = self.full_recompute;
-        target.heap_timeline = self.heap_timeline;
-        target.sharded = self.sharded;
+        target.mode = self.mode;
         target.dispatch = Arc::clone(&self.dispatch);
         let tgt = target.state.get_mut().expect("target engine state lock");
         tgt.time = st.time;
         st.slots.fork_into(&mut tgt.slots);
-        st.cache.fork_into(&mut tgt.cache);
-        st.events.fork_into(&mut tgt.events);
         st.shards.fork_into(&mut tgt.shards);
-        tgt.staged.clear();
-        tgt.comms_buf.clear();
         tgt.opened.clear();
         tgt.due.clear();
         tgt.departed.clear();
@@ -1564,7 +1403,7 @@ mod tests {
                 .with_phase_recording(),
             FluidNetwork::new(MyrinetModel::default(), NetworkParams::new(4.0, 0.25))
                 .with_phase_recording()
-                .with_linear_timeline(),
+                .with_mode(EngineMode::LinearTimeline),
             FluidNetwork::new(MyrinetModel::default(), NetworkParams::new(4.0, 0.25))
                 .with_phase_recording()
                 .with_full_recompute(),
@@ -1614,7 +1453,7 @@ mod tests {
             .with_phase_recording();
         let mut sharded = FluidNetwork::new(MyrinetModel::default(), NetworkParams::new(4.0, 0.25))
             .with_phase_recording()
-            .with_sharded();
+            .with_mode(EngineMode::Sharded);
         for net in [&mut heap, &mut sharded] {
             for ((k, &c), &s) in comms.iter().enumerate().zip(&starts) {
                 net.add(k as u64, c, s);
@@ -1667,9 +1506,10 @@ mod tests {
         };
         let params = NetworkParams::unit();
         let mut heap = FluidNetwork::new(MyrinetModel::default(), params);
-        let mut refine = FluidNetwork::new(MyrinetModel::default(), params).with_sharded();
-        let mut fused =
-            FluidNetwork::new(MyrinetModel::default(), params).with_sharded_merge_only();
+        let mut refine =
+            FluidNetwork::new(MyrinetModel::default(), params).with_mode(EngineMode::Sharded);
+        let mut fused = FluidNetwork::new(MyrinetModel::default(), params)
+            .with_mode(EngineMode::ShardedMergeOnly);
         add_all(&mut heap);
         add_all(&mut refine);
         add_all(&mut fused);
@@ -1703,8 +1543,8 @@ mod tests {
 
     #[test]
     fn sharded_reset_restarts_components_and_keeps_stats() {
-        let mut net =
-            FluidNetwork::new(MyrinetModel::default(), NetworkParams::unit()).with_sharded();
+        let mut net = FluidNetwork::new(MyrinetModel::default(), NetworkParams::unit())
+            .with_mode(EngineMode::Sharded);
         net.add(0, comm(0, 1, 100), 0.0);
         net.add(1, comm(2, 3, 100), 0.0);
         assert_eq!(net.shard_count(), 2);
@@ -1748,7 +1588,7 @@ mod tests {
         // the linear mode, by contrast, rescans on every settle and never
         // touches the heaps
         let mut linear = FluidNetwork::new(MyrinetModel::default(), NetworkParams::new(1.0, 1.0))
-            .with_linear_timeline();
+            .with_mode(EngineMode::LinearTimeline);
         linear.add(0, comm(0, 1, 100), 0.0);
         linear.add(1, comm(0, 2, 100), 10.0);
         linear.run_to_completion();

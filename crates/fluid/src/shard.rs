@@ -1,15 +1,21 @@
-//! Component shards: per-conflict-component timelines and penalty caches
-//! for [`crate::FluidNetwork::with_sharded`].
+//! The shard table behind every event-driven engine mode: per-shard
+//! timelines and penalty caches over the shared slab, settled by one
+//! barrier (see [`crate::EngineMode`]).
 //!
-//! The penalty models are component-local (see
-//! [`netbw_core::components`]): flows in disjoint connected components of
-//! the shared-endpoint graph never influence each other's penalty. The
-//! sharded engine exploits that by partitioning the slab-backed flow
-//! population into such components ("shards") and giving each its own
-//! [`crate::event_heap`] timeline and [`PenaltyCache`] (with its own model
-//! scratch). A settle then refreshes only the *dirty* shards — and those
-//! refreshes are independent, so they can run in parallel through a
-//! [`crate::dispatch::SettleDispatch`].
+//! The default engine ([`crate::EngineMode::Heap`]) is the one-shard case:
+//! a single *unpartitioned* shard holds every flow, with no component
+//! tracker, no member list, no cross-shard heap and no refinement — its
+//! settle is one cache refresh plus a re-anchor of the affected flows, and
+//! its next event is a peek at the shard's own heaps.
+//!
+//! The sharded modes partition the population by conflict component. The
+//! penalty models are component-local (see [`netbw_core::components`]):
+//! flows in disjoint connected components of the shared-endpoint graph
+//! never influence each other's penalty. So each component ("shard") gets
+//! its own [`crate::event_heap`] timeline and [`PenaltyCache`] (with its
+//! own model scratch). A settle then refreshes only the *dirty* shards —
+//! and those refreshes are independent, so they can run in parallel
+//! through a [`crate::dispatch::SettleDispatch`].
 //!
 //! The partition **refines in both directions**, driven by the
 //! [`ComponentTracker`]. Arrivals coarsen it: a new flow joins an
@@ -23,7 +29,9 @@
 //! [`ComponentRemoval::Split`] — in which case `ShardSet::split` carves
 //! the splinter component out of its shard: member keys are partitioned
 //! by a tracker lookup, the splinter gets a [`PenaltyCache::fork`] of the
-//! kept cache with each side noting the other's members as departures
+//! kept cache (with zeroed counters: the kept shard keeps the history, so
+//! the aggregate counts it once) with each side noting the other's
+//! members as departures
 //! (penalties are component-local, so both sides' next delta refresh
 //! reproduces identical values and the engine's resync skips — the split
 //! is bitwise invisible), and the splinter's event heaps are rebuilt from
@@ -34,7 +42,7 @@
 //!
 //! One model behaviour is *not* component-local: a Myrinet state-set
 //! budget refusal degrades the whole query population to the max-conflict
-//! approximation, so an over-budget component in the unsharded engine
+//! approximation, so an over-budget component in the unpartitioned engine
 //! changes the penalties of every other component in the same query. The
 //! first time any shard's refresh reports such a fallback, the settle
 //! barrier `ShardSet::collapse_all`s the partition into a single global
@@ -46,7 +54,7 @@
 //! live slab and per-component settling resumes. (If some component is
 //! *still* over budget, its fresh cache's first refresh reports a new
 //! fallback and the barrier re-collapses at the same instant — exactly
-//! matching the unsharded engine's global degradation, so equality holds
+//! matching the unpartitioned engine's global degradation, so equality holds
 //! through the thrash.)
 //!
 //! Cross-shard event ordering goes through one lazy min-heap of
@@ -120,7 +128,7 @@ pub(crate) struct Shard {
     /// the population from the cache's pending change sets.
     pub(crate) members: Vec<FlowKey>,
     /// Staging buffer for the next refresh's population (recycled through
-    /// [`PenaltyCache::refresh`] like the unsharded engine's buffer).
+    /// [`PenaltyCache::refresh`]).
     pub(crate) staged: Vec<FlowKey>,
     /// Communications aligned with `staged` (same recycling).
     pub(crate) comms_buf: Vec<Communication>,
@@ -149,16 +157,9 @@ impl Shard {
     /// An independent deep copy (cache via [`PenaltyCache::fork`], heaps
     /// entry-for-entry) that settles bit-for-bit like the original.
     fn fork(&self) -> Shard {
-        Shard {
-            root: self.root,
-            cache: self.cache.fork(),
-            events: self.events.clone(),
-            members: self.members.clone(),
-            staged: self.staged.clone(),
-            comms_buf: self.comms_buf.clone(),
-            version: self.version,
-            dirty: self.dirty,
-        }
+        let mut out = Shard::new(self.root);
+        self.fork_into(&mut out);
+        out
     }
 
     /// [`Self::fork`] into an existing shard, reusing its allocations
@@ -207,11 +208,30 @@ impl Ord for ShardNext {
     }
 }
 
+/// How a [`ShardSet`] partitions the flow population.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) enum Partition {
+    /// One unpartitioned shard (index 0) holds every flow for the set's
+    /// whole life: no tracker, no member list, no cross-shard heap, no
+    /// refinement. The default engine and the scan modes.
+    Single,
+    /// One shard per conflict component, refined in both directions.
+    #[default]
+    Refine,
+    /// One shard per conflict component, coarsening only: departures are
+    /// ignored (the tracker keeps every edge forever) — the
+    /// pre-refinement behaviour, kept as the ablation baseline the split
+    /// benchmarks compare against.
+    MergeOnly,
+}
+
 /// The engine's shard table: component tracker, live shards, the dirty
 /// list and the cross-shard event heap, plus the counters of retired
-/// shards (so aggregate stats survive merges and resets).
+/// shards (so aggregate stats survive merges and resets). `Default` is an
+/// empty refining table.
 #[derive(Default)]
 pub(crate) struct ShardSet {
+    partition: Partition,
     tracker: ComponentTracker,
     /// Shard index per tracker root index. Entries go stale when a root
     /// is absorbed, re-seated or drained; lookups that may hit a stale
@@ -246,13 +266,8 @@ pub(crate) struct ShardSet {
     /// follows bridges and root re-seats; the moment the pinned component
     /// drains or splits, [`Self::explode`] rebuilds the partition.
     collapsed_pin: Option<ComponentRoot>,
-    /// Ablation switch: when set, departures are ignored entirely (the
-    /// tracker keeps every edge forever) and the partition only coarsens
-    /// — the pre-refinement behaviour, kept as the baseline the split
-    /// benchmarks compare against.
-    pub(crate) merge_only: bool,
-    /// Settles served entirely from valid shard caches — the sharded
-    /// analogue of [`CacheStats::reuses`] on the unsharded engine.
+    /// Settles served entirely from valid shard caches, reported as
+    /// [`CacheStats::reuses`].
     reused_settles: u64,
     /// Scratch buffer for the candidate shards of one event.
     candidates: Vec<usize>,
@@ -264,15 +279,51 @@ pub(crate) struct ShardSet {
 }
 
 impl ShardSet {
-    /// Number of live shards.
+    /// An empty shard table. A [`Partition::Single`] table starts with its
+    /// one shard in place and dirty, so the first settle queries the model
+    /// even when every flow is still gated — exactly like a fresh cache.
+    pub(crate) fn new(partition: Partition) -> Self {
+        let mut set = ShardSet {
+            partition,
+            ..ShardSet::default()
+        };
+        if partition == Partition::Single {
+            set.shards.push(Some(Shard::new(0)));
+            set.live = 1;
+            set.mark_dirty(0);
+        }
+        set
+    }
+
+    /// Whether the population is split by conflict component (the sharded
+    /// modes) rather than held in the one unpartitioned shard.
+    #[inline]
+    pub(crate) fn is_partitioned(&self) -> bool {
+        self.partition != Partition::Single
+    }
+
+    /// Whether departures refine the partition (and so must be reported
+    /// through [`Self::depart`]).
+    #[inline]
+    pub(crate) fn refines(&self) -> bool {
+        self.partition == Partition::Refine
+    }
+
+    /// Number of live conflict-component shards; 0 for the unpartitioned
+    /// table, whose single shard is not a component.
+    #[inline]
     pub(crate) fn live_count(&self) -> usize {
-        self.live
+        if self.is_partitioned() {
+            self.live
+        } else {
+            0
+        }
     }
 
     /// Partition-shape counters (live count plus cumulative transitions).
     pub(crate) fn shard_stats(&self) -> ShardStats {
         ShardStats {
-            live_shards: self.live,
+            live_shards: self.live_count(),
             splits: self.splits,
             merges: self.merges,
             drains: self.drains,
@@ -284,14 +335,18 @@ impl ShardSet {
 
     /// Routes a flow's endpoints through the component tracker, creating
     /// or merging shards as needed, and returns the index of the shard
-    /// the flow belongs to.
+    /// the flow belongs to (always 0 when unpartitioned).
+    #[inline]
     pub(crate) fn assign(&mut self, comm: &Communication) -> usize {
+        if !self.is_partitioned() {
+            return 0;
+        }
         if let Some(id) = self.collapsed_into {
             // The partition is pinned flat, but the tracker keeps running
             // so departures can still un-collapse it: if the new flow
             // bridges the pinned component into a union, the pin follows
             // the union's root.
-            if !self.merge_only {
+            if self.refines() {
                 if let ComponentChange::Bridged { root, absorbed } =
                     self.tracker.insert(comm.src, comm.dst)
                 {
@@ -314,15 +369,40 @@ impl ShardSet {
         }
     }
 
+    /// Enters a freshly inserted flow into shard `id`: as a member (only
+    /// the partitioned table keeps member lists), then as an arrival if it
+    /// contends at once (`gate` is `None`) or as a `(gate, epoch)` entry in
+    /// the shard's gate heap otherwise.
+    pub(crate) fn admit<T>(
+        &mut self,
+        id: usize,
+        flow: FlowKey,
+        gate: Option<(f64, u64)>,
+        slots: &Slab<T>,
+    ) {
+        let partitioned = self.is_partitioned();
+        let sh = self.shard_mut(id);
+        if partitioned {
+            sh.members.push(flow);
+        }
+        match gate {
+            None => {
+                sh.cache.note_arrival(flow);
+                self.mark_dirty(id);
+            }
+            Some((gate, epoch)) => sh.events.push_gate(gate, flow, epoch),
+        }
+        self.refresh_next(id, slots);
+    }
+
     /// Handles a completed flow's departure: removes its edge from the
     /// tracker and refines the partition to match — re-seating a root,
     /// retiring a drained shard, splitting a disconnected one, or
     /// un-collapsing a budget-collapsed partition whose pinned component
-    /// just departed. Call after the flow's slot has left the slab.
+    /// just departed. Call after the flow's slot has left the slab, and
+    /// only on a refining table.
     pub(crate) fn depart<S: SlotView>(&mut self, comm: &Communication, slots: &mut Slab<S>) {
-        if self.merge_only {
-            return;
-        }
+        debug_assert!(self.refines(), "only a refining table tracks departures");
         let removal = self.tracker.remove(comm.src, comm.dst);
         if self.collapsed_into.is_some() {
             // Only the global shard exists: no per-shard bookkeeping, but
@@ -395,7 +475,7 @@ impl ShardSet {
             });
         }
         let kept = self.shards[id].as_mut().expect("split shard is live");
-        let mut sp_cache = kept.cache.fork();
+        let mut sp_cache = kept.cache.fork_uncounted();
         let mut sp_events = EventHeaps::default();
         for &k in &kept.members {
             if slots.get(k).expect("retained member is live").contending() {
@@ -581,7 +661,7 @@ impl ShardSet {
     /// *whole* query population to the max-conflict approximation, so the
     /// moment any shard's refresh reports [`QueryOutcome::budget_fallback`]
     /// the per-component factoring stops being safe. A single global shard
-    /// runs the exact same queries as the unsharded engine, restoring
+    /// runs the exact same queries as the unpartitioned engine, restoring
     /// bit-for-bit equality at the cost of the partition.
     ///
     /// [`QueryOutcome::budget_fallback`]: netbw_core::QueryOutcome
@@ -612,6 +692,7 @@ impl ShardSet {
 
     /// Marks a shard's population as changed, queueing it for the next
     /// settle.
+    #[inline]
     pub(crate) fn mark_dirty(&mut self, id: usize) {
         let sh = self.shards[id].as_mut().expect("dirty shard is live");
         if !sh.dirty {
@@ -621,6 +702,7 @@ impl ShardSet {
     }
 
     /// Mutable access to one live shard.
+    #[inline]
     pub(crate) fn shard_mut(&mut self, id: usize) -> &mut Shard {
         self.shards[id].as_mut().expect("shard is live")
     }
@@ -643,34 +725,42 @@ impl ShardSet {
         out
     }
 
-    /// Records a settle that found every shard cache valid.
+    /// Records a settle that found every shard cache valid (a table with
+    /// no live shard has no cache to reuse).
+    #[inline]
     pub(crate) fn note_reused_settle(&mut self) {
-        self.reused_settles += 1;
+        if self.live > 0 {
+            self.reused_settles += 1;
+        }
     }
 
     /// Recomputes shard `id`'s next event (earliest live completion or
     /// gate) and publishes it to the cross-shard heap under a fresh
     /// version, invalidating every earlier entry for the shard. Call
-    /// after anything that may move the shard's timeline.
+    /// after anything that may move the shard's timeline. A no-op when
+    /// unpartitioned: [`Self::peek_next`] reads the one shard directly.
     pub(crate) fn refresh_next<T>(&mut self, id: usize, slots: &Slab<T>) {
+        if !self.is_partitioned() {
+            return;
+        }
         let sh = self.shards[id].as_mut().expect("shard is live");
         sh.version += 1;
-        let next = match (sh.events.peek_finish(slots), sh.events.peek_gate(slots)) {
-            (None, None) => return,
-            (Some(c), None) => c,
-            (None, Some(g)) => g,
-            (Some(c), Some(g)) => c.min(g),
-        };
-        self.next_events.push(ShardNext {
-            time: next,
-            shard: id,
-            version: sh.version,
-        });
+        if let Some(next) = sh.events.peek_next(slots) {
+            self.next_events.push(ShardNext {
+                time: next,
+                shard: id,
+                version: sh.version,
+            });
+        }
     }
 
     /// The earliest next-event time across all shards, discarding stale
-    /// entries from the top of the cross-shard heap.
-    pub(crate) fn peek_next(&mut self) -> Option<f64> {
+    /// entries from the top of the cross-shard heap (or, unpartitioned,
+    /// from the one shard's own heaps).
+    pub(crate) fn peek_next<T>(&mut self, slots: &Slab<T>) -> Option<f64> {
+        if !self.is_partitioned() {
+            return self.shard_mut(0).events.peek_next(slots);
+        }
         while let Some(top) = self.next_events.peek() {
             if self.entry_is_live(top) {
                 return Some(top.time);
@@ -682,11 +772,17 @@ impl ShardSet {
 
     /// Pops every live entry with `time <= bound` and returns the (sorted,
     /// distinct) shards they name — the shards that may have a gate or
-    /// completion due at the current event. The caller must
-    /// [`Self::refresh_next`] each one after processing it.
+    /// completion due at the current event (unpartitioned: always the one
+    /// shard). The caller must [`Self::refresh_next`] each one after
+    /// processing it.
+    #[inline]
     pub(crate) fn take_candidates(&mut self, bound: f64) -> Vec<usize> {
         let mut out = std::mem::take(&mut self.candidates);
         out.clear();
+        if !self.is_partitioned() {
+            out.push(0);
+            return out;
+        }
         while let Some(top) = self.next_events.peek() {
             if top.time > bound {
                 break;
@@ -705,6 +801,7 @@ impl ShardSet {
 
     /// Returns a candidate list taken with [`Self::take_candidates`] for
     /// buffer reuse.
+    #[inline]
     pub(crate) fn recycle_candidates(&mut self, buf: Vec<usize>) {
         self.candidates = buf;
     }
@@ -740,31 +837,9 @@ impl ShardSet {
     /// the cross-shard event heap. The fork and the original settle
     /// bit-for-bit identically from here on without sharing any state.
     pub(crate) fn fork(&self) -> ShardSet {
-        ShardSet {
-            tracker: self.tracker.clone(),
-            shard_of_root: self.shard_of_root.clone(),
-            shards: self
-                .shards
-                .iter()
-                .map(|slot| slot.as_ref().map(Shard::fork))
-                .collect(),
-            live: self.live,
-            free_slots: self.free_slots.clone(),
-            dirty: self.dirty.clone(),
-            next_events: self.next_events.clone(),
-            retired_cache: self.retired_cache,
-            retired_timeline: self.retired_timeline,
-            collapsed_into: self.collapsed_into,
-            collapsed_pin: self.collapsed_pin,
-            merge_only: self.merge_only,
-            reused_settles: self.reused_settles,
-            candidates: Vec::new(),
-            splits: self.splits,
-            merges: self.merges,
-            drains: self.drains,
-            collapses: self.collapses,
-            uncollapses: self.uncollapses,
-        }
+        let mut out = ShardSet::new(self.partition);
+        self.fork_into(&mut out);
+        out
     }
 
     /// [`Self::fork`] into an existing shard table, reusing its
@@ -773,6 +848,7 @@ impl ShardSet {
     /// side table `clone_from` into the target. Bitwise identical outcome
     /// to `fork` — including the always-empty `candidates` scratch.
     pub(crate) fn fork_into(&self, target: &mut ShardSet) {
+        target.partition = self.partition;
         self.tracker.fork_into(&mut target.tracker);
         target.shard_of_root.clone_from(&self.shard_of_root);
         target.shards.truncate(self.shards.len());
@@ -794,7 +870,6 @@ impl ShardSet {
         target.retired_timeline = self.retired_timeline;
         target.collapsed_into = self.collapsed_into;
         target.collapsed_pin = self.collapsed_pin;
-        target.merge_only = self.merge_only;
         target.reused_settles = self.reused_settles;
         target.candidates.clear();
         target.splits = self.splits;
@@ -809,16 +884,30 @@ impl ShardSet {
     /// the partition (and a [`Self::collapse_all`] pin left by a Myrinet
     /// budget fallback) can be forgotten wholesale. Counters fold into
     /// the retired accumulators exactly like [`Self::reset`], so stats
-    /// stay cumulative across the barrier.
+    /// stay cumulative across the barrier. A no-op when unpartitioned:
+    /// there is no partition to forget, and the one shard's cache must
+    /// still settle the departures of the final batch.
+    #[inline]
     pub(crate) fn quiesce(&mut self) {
-        self.reset();
+        if self.is_partitioned() {
+            self.reset();
+        }
     }
 
     /// Drops every shard and the component structure while folding their
     /// counters into the retired accumulators — stats (including the
-    /// partition-shape counters) stay cumulative across resets, exactly
-    /// like the unsharded engine's.
+    /// partition-shape counters) stay cumulative across resets. The
+    /// unpartitioned table instead keeps its one shard, returning its
+    /// cache to the pre-first-settle state (scratch allocation and
+    /// counters kept) and re-queueing it for that first settle.
     pub(crate) fn reset(&mut self) {
+        if !self.is_partitioned() {
+            let sh = self.shard_mut(0);
+            sh.cache.reset();
+            sh.events.clear();
+            self.mark_dirty(0);
+            return;
+        }
         for sh in self.shards.iter().flatten() {
             self.retired_cache.absorb(sh.cache.stats());
             self.retired_timeline.absorb(sh.events.stats);
@@ -879,7 +968,7 @@ mod tests {
 
     #[test]
     fn assign_creates_joins_and_merges() {
-        let mut set = ShardSet::default();
+        let mut set = ShardSet::new(Partition::Refine);
         let a = set.assign(&comm(0, 1));
         let b = set.assign(&comm(2, 3));
         assert_ne!(a, b);
@@ -895,7 +984,7 @@ mod tests {
 
     #[test]
     fn merge_moves_members_and_invalidates_the_winner() {
-        let mut set = ShardSet::default();
+        let mut set = ShardSet::new(Partition::Refine);
         let mut slab: Slab<()> = Slab::new();
         let (k0, k1) = (slab.insert(()), slab.insert(()));
         let a = set.assign(&comm(0, 1));
@@ -904,7 +993,7 @@ mod tests {
         set.shard_mut(b).members.push(k1);
         set.shard_mut(b).events.push_gate(5.0, k1, 0);
         set.refresh_next(b, &slab);
-        assert_eq!(set.peek_next(), Some(5.0));
+        assert_eq!(set.peek_next(&slab), Some(5.0));
         let survivor = set.assign(&comm(1, 2));
         assert_eq!(set.shard_mut(survivor).members.len(), 2);
         assert!(set.shard_mut(survivor).dirty, "merge queues a rebuild");
@@ -914,13 +1003,13 @@ mod tests {
         // ...but the retired shard's cross-shard entry went stale, and the
         // winner republishes under a fresh version
         set.refresh_next(survivor, &slab);
-        assert_eq!(set.peek_next(), Some(5.0));
+        assert_eq!(set.peek_next(&slab), Some(5.0));
         assert_eq!(set.take_candidates(5.0), vec![survivor]);
     }
 
     #[test]
     fn stale_versions_are_discarded_on_peek_and_pop() {
-        let mut set = ShardSet::default();
+        let mut set = ShardSet::new(Partition::Refine);
         let mut slab: Slab<()> = Slab::new();
         let (k0, k1) = (slab.insert(()), slab.insert(()));
         let a = set.assign(&comm(0, 1));
@@ -929,17 +1018,17 @@ mod tests {
         // a second refresh supersedes the first entry
         set.shard_mut(a).events.push_gate(1.0, k1, 0);
         set.refresh_next(a, &slab);
-        assert_eq!(set.peek_next(), Some(1.0));
+        assert_eq!(set.peek_next(&slab), Some(1.0));
         let c = set.take_candidates(1.0);
         assert_eq!(c, vec![a]);
         set.recycle_candidates(c);
         // both entries are gone (one live, one stale) until republished
-        assert_eq!(set.peek_next(), None);
+        assert_eq!(set.peek_next(&slab), None);
     }
 
     #[test]
     fn dirty_marking_is_idempotent() {
-        let mut set = ShardSet::default();
+        let mut set = ShardSet::new(Partition::Refine);
         let a = set.assign(&comm(0, 1));
         set.mark_dirty(a);
         set.mark_dirty(a);
@@ -948,7 +1037,7 @@ mod tests {
 
     #[test]
     fn disjoint_mut_hands_out_every_requested_shard() {
-        let mut set = ShardSet::default();
+        let mut set = ShardSet::new(Partition::Refine);
         let ids = [
             set.assign(&comm(0, 1)),
             set.assign(&comm(2, 3)),
@@ -964,7 +1053,7 @@ mod tests {
 
     #[test]
     fn collapse_merges_everything_and_pins_future_assignments() {
-        let mut set = ShardSet::default();
+        let mut set = ShardSet::new(Partition::Refine);
         let a = set.assign(&comm(0, 1));
         let _b = set.assign(&comm(2, 3));
         let _c = set.assign(&comm(4, 5));
@@ -988,7 +1077,7 @@ mod tests {
 
     #[test]
     fn reset_folds_counters_and_forgets_structure() {
-        let mut set = ShardSet::default();
+        let mut set = ShardSet::new(Partition::Refine);
         let mut slab: Slab<()> = Slab::new();
         let k0 = slab.insert(());
         let a = set.assign(&comm(0, 1));
@@ -998,7 +1087,7 @@ mod tests {
         assert_eq!(before.gate_pushes, 1);
         set.reset();
         assert_eq!(set.live_count(), 0);
-        assert_eq!(set.peek_next(), None);
+        assert_eq!(set.peek_next(&slab), None);
         assert_eq!(set.timeline_stats().gate_pushes, 1, "stats survive reset");
         assert_eq!(set.cache_stats().reuses, 1);
         // and the next assignment starts a fresh shard table
@@ -1008,8 +1097,76 @@ mod tests {
     }
 
     #[test]
+    fn unpartitioned_set_is_invisible() {
+        // The default engine's table: one shard for everything, and none
+        // of the partition machinery ever runs.
+        fn assert_invisible(set: &ShardSet) {
+            assert_eq!(set.tracker.node_count(), 0, "tracker untouched");
+            assert!(
+                set.shards.iter().flatten().count() <= 1,
+                "one shard at most"
+            );
+            assert!(set.next_events.is_empty(), "no cross-shard publish");
+            assert_eq!(set.live_count(), 0, "the one shard is not a component");
+            assert_eq!(set.shard_stats(), ShardStats::default());
+        }
+        let mut set = ShardSet::new(Partition::Single);
+        let mut slab: Slab<TSlot> = Slab::new();
+        assert_eq!(set.dirty, vec![0], "a fresh table settles once");
+        assert_invisible(&set);
+        // Add: two disjoint components, a bridge and a gated flow all land
+        // in shard 0, which keeps no member list.
+        let mut keys = Vec::new();
+        for (src, dst) in [(0, 1), (2, 3), (1, 2)] {
+            let id = set.assign(&comm(src, dst));
+            assert_eq!(id, 0);
+            let k = slab.insert(TSlot::running(src, dst, 10.0));
+            set.admit(id, k, None, &slab);
+            keys.push(k);
+        }
+        let gated = slab.insert(TSlot {
+            contending: false,
+            gate: 5.0,
+            ..TSlot::running(4, 5, f64::INFINITY)
+        });
+        assert_eq!(set.assign(&comm(4, 5)), 0);
+        set.admit(0, gated, Some((5.0, slab.epoch(gated).unwrap())), &slab);
+        assert!(set.shard_mut(0).members.is_empty());
+        assert_eq!(
+            set.peek_next(&slab),
+            Some(5.0),
+            "read from the shard's heaps"
+        );
+        let candidates = set.take_candidates(0.0);
+        assert_eq!(candidates, vec![0]);
+        set.recycle_candidates(candidates);
+        assert_invisible(&set);
+        // Drain: the quiescent barrier keeps the shard, whose cache must
+        // still settle the final departures.
+        for k in keys.into_iter().chain([gated]) {
+            slab.remove(k);
+        }
+        set.quiesce();
+        assert!(set.shards[0].is_some());
+        assert_invisible(&set);
+        // fork_into overwrites a partitioned target wholesale.
+        let mut target = ShardSet::new(Partition::Refine);
+        target.assign(&comm(7, 8));
+        set.fork_into(&mut target);
+        assert_invisible(&target);
+        assert_invisible(&set.fork());
+        // Reset keeps the shard and re-queues it for a first settle (the
+        // flag and list are cleared here as a settle would).
+        set.shard_mut(0).dirty = false;
+        set.dirty.clear();
+        set.reset();
+        assert_eq!(set.dirty, vec![0]);
+        assert_invisible(&set);
+    }
+
+    #[test]
     fn departures_split_shards_and_reuse_slots() {
-        let mut set = ShardSet::default();
+        let mut set = ShardSet::new(Partition::Refine);
         let mut slab: Slab<TSlot> = Slab::new();
         // One chain component 0-1-2-3 out of three flows.
         let a = set.assign(&comm(0, 1));
@@ -1024,7 +1181,7 @@ mod tests {
             sh.events.push_completion(t, k, 0);
         }
         set.refresh_next(a, &slab);
-        assert_eq!(set.peek_next(), Some(10.0));
+        assert_eq!(set.peek_next(&slab), Some(10.0));
         // The middle flow completes: its slot leaves the slab, then the
         // departure splits {0,1,2,3} into {0,1} and {2,3}.
         slab.remove(k12);
@@ -1041,7 +1198,7 @@ mod tests {
         // skipped, so both shards report their true next events.
         assert_eq!(set.shard_mut(a).events.peek_finish(&slab), Some(10.0));
         assert_eq!(set.shard_mut(sid).events.peek_finish(&slab), Some(30.0));
-        assert_eq!(set.peek_next(), Some(10.0));
+        assert_eq!(set.peek_next(&slab), Some(10.0));
         // Draining {0,1} retires the kept shard and frees its slot...
         slab.remove(k01);
         set.depart(&comm(0, 1), &mut slab);
@@ -1052,12 +1209,16 @@ mod tests {
         // A stale cross-shard entry for the old occupant can never fire
         // against the new one: versions continued past the retiree's.
         set.refresh_next(a, &slab);
-        assert_eq!(set.peek_next(), Some(30.0), "splinter's completion leads");
+        assert_eq!(
+            set.peek_next(&slab),
+            Some(30.0),
+            "splinter's completion leads"
+        );
     }
 
     #[test]
     fn pinned_component_departure_uncollapses() {
-        let mut set = ShardSet::default();
+        let mut set = ShardSet::new(Partition::Refine);
         let mut slab: Slab<TSlot> = Slab::new();
         let a = set.assign(&comm(0, 1));
         let b = set.assign(&comm(2, 3));
@@ -1098,6 +1259,6 @@ mod tests {
         let reborn = set.dirty[0];
         assert_eq!(set.shard_mut(reborn).members, vec![k23b]);
         assert!(set.shard_mut(reborn).dirty);
-        assert_eq!(set.peek_next(), Some(7.0));
+        assert_eq!(set.peek_next(&slab), Some(7.0));
     }
 }

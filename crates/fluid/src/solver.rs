@@ -7,7 +7,7 @@
 //! incremental penalty patching for free — each completion batch reaches
 //! the model as a positional `Departed` delta.
 
-use crate::network::{FluidNetwork, TransferKey};
+use crate::network::{EngineMode, FluidNetwork, TransferKey};
 use crate::params::NetworkParams;
 use netbw_core::PenaltyModel;
 use netbw_graph::{CommGraph, Communication};
@@ -80,11 +80,10 @@ impl<M: PenaltyModel> FluidSolver<M> {
         }
     }
 
-    /// Switches the underlying network to the conflict-component-sharded
-    /// engine ([`FluidNetwork::with_sharded`]); results are bit-for-bit
-    /// unchanged.
-    pub fn with_sharded(mut self) -> Self {
-        self.net = self.net.with_sharded();
+    /// Switches the underlying network's [`EngineMode`]
+    /// ([`FluidNetwork::with_mode`]); results are bit-for-bit unchanged.
+    pub fn with_mode(mut self, mode: EngineMode) -> Self {
+        self.net = self.net.with_mode(mode);
         self
     }
 
@@ -332,8 +331,8 @@ mod tests {
     #[test]
     fn sharded_solver_matches_default_bit_for_bit() {
         let mut plain = FluidSolver::new(MyrinetModel::default(), NetworkParams::unit());
-        let mut sharded =
-            FluidSolver::new(MyrinetModel::default(), NetworkParams::unit()).with_sharded();
+        let mut sharded = FluidSolver::new(MyrinetModel::default(), NetworkParams::unit())
+            .with_mode(EngineMode::Sharded);
         let battery = [
             schemes::mk1().with_uniform_size(300),
             schemes::fig5().with_uniform_size(777),

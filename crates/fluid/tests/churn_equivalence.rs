@@ -6,36 +6,21 @@
 //! shared churn generator in `netbw-bench` — the same source the churn
 //! bench and the `churn_smoke` CI guard draw from.
 
-use netbw_bench::{bridge_wave_churn, churn_transfers_seeded, multi_component_churn};
+use netbw_bench::{bridge_wave_churn, churn_transfers_seeded, multi_component_churn, CHURN_SEED};
 use netbw_core::{GigabitEthernetModel, InfinibandModel, MyrinetModel, PenaltyModel};
-use netbw_fluid::{FluidNetwork, NetworkParams, TimelineStats};
+use netbw_fluid::{EngineMode, FluidNetwork, NetworkParams, TimelineStats};
 use netbw_graph::Communication;
 use proptest::prelude::*;
 
-/// The four engine configurations under test: the event-heap timeline
-/// (default), the pre-heap linear scans over the incremental cache, the
-/// pre-refactor full-recompute oracle, and the component-sharded engine
-/// (one cache + scratch + timeline per conflict component). `MergeOnly`
-/// is the sharded engine with departure-driven splitting disabled — the
-/// refinement ablation, equally bound by bitwise equality.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Mode {
-    Heap,
-    Linear,
-    Oracle,
-    Sharded,
-    MergeOnly,
-}
-
-fn build<M: PenaltyModel>(model: M, mode: Mode) -> FluidNetwork<M> {
-    let net = FluidNetwork::new(model, NetworkParams::new(2.0, 0.25));
-    match mode {
-        Mode::Heap => net,
-        Mode::Linear => net.with_linear_timeline(),
-        Mode::Oracle => net.with_full_recompute(),
-        Mode::Sharded => net.with_sharded(),
-        Mode::MergeOnly => net.with_sharded_merge_only(),
-    }
+/// Builds a fresh engine in the given mode. Five modes are under test:
+/// the event-heap timeline (default), the pre-heap linear scans over the
+/// incremental cache, the pre-refactor full-recompute oracle, and the
+/// component-sharded engine (one cache + scratch + timeline per conflict
+/// component); `ShardedMergeOnly` is the sharded engine with
+/// departure-driven splitting disabled — the refinement ablation, equally
+/// bound by bitwise equality.
+fn build<M: PenaltyModel>(model: M, mode: EngineMode) -> FluidNetwork<M> {
+    FluidNetwork::new(model, NetworkParams::new(2.0, 0.25)).with_mode(mode)
 }
 
 /// Adds `transfers` (sorted by start) and drains the network, returning
@@ -63,7 +48,7 @@ fn drain_into<M: PenaltyModel>(
 fn drain<M: PenaltyModel>(
     model: M,
     transfers: &[(u64, Communication, f64)],
-    mode: Mode,
+    mode: EngineMode,
 ) -> (Vec<(u64, f64)>, netbw_fluid::CacheStats, TimelineStats) {
     let mut net = build(model, mode);
     let done = drain_into(&mut net, transfers);
@@ -97,11 +82,12 @@ proptest! {
     ) {
         macro_rules! check {
             ($model:expr) => {{
-                let (fast, fast_stats, fast_timeline) = drain($model, &transfers, Mode::Heap);
-                let (lin, _, lin_timeline) = drain($model, &transfers, Mode::Linear);
-                let (slow, slow_stats, _) = drain($model, &transfers, Mode::Oracle);
+                let (fast, fast_stats, fast_timeline) = drain($model, &transfers, EngineMode::Heap);
+                let (lin, lin_stats, lin_timeline) =
+                    drain($model, &transfers, EngineMode::LinearTimeline);
+                let (slow, slow_stats, _) = drain($model, &transfers, EngineMode::FullRecompute);
                 let (shard, shard_stats, shard_timeline) =
-                    drain($model, &transfers, Mode::Sharded);
+                    drain($model, &transfers, EngineMode::Sharded);
                 prop_assert_eq!(fast.len(), slow.len());
                 prop_assert_eq!(fast.len(), lin.len());
                 prop_assert_eq!(fast.len(), shard.len());
@@ -123,6 +109,9 @@ proptest! {
                 prop_assert!(shard_timeline.heap_pushes >= transfers.len() as u64,
                     "{:?}", shard_timeline);
                 prop_assert!(shard_stats.rebuild_queries() >= 1, "{:?}", shard_stats);
+                // The timeline only changes how events are found, never
+                // what the model is asked.
+                prop_assert_eq!(fast_stats, lin_stats);
                 prop_assert!(fast_stats.model_queries <= slow_stats.model_queries);
                 prop_assert!(fast_stats.rebuild_queries() <= 1,
                     "only the first settle may rebuild: {:?}", fast_stats);
@@ -156,9 +145,9 @@ proptest! {
         step_denom in 3u32..17,
     ) {
         let (event_driven, _, event_timeline) =
-            drain(MyrinetModel::default(), &transfers, Mode::Heap);
+            drain(MyrinetModel::default(), &transfers, EngineMode::Heap);
         let horizon = event_driven.iter().map(|&(_, t)| t).fold(0.0, f64::max);
-        let mut net = build(MyrinetModel::default(), Mode::Heap);
+        let mut net = build(MyrinetModel::default(), EngineMode::Heap);
         let mut sorted = transfers.clone();
         sorted.sort_by(|a, b| a.2.total_cmp(&b.2));
         for &(key, comm, start) in &sorted {
@@ -207,10 +196,10 @@ proptest! {
         transfers.push((key, bridge, bridge_start));
         macro_rules! check {
             ($model:expr) => {{
-                let (fast, _, _) = drain($model, &transfers, Mode::Heap);
-                let (lin, _, _) = drain($model, &transfers, Mode::Linear);
-                let (slow, _, _) = drain($model, &transfers, Mode::Oracle);
-                let (shard, _, _) = drain($model, &transfers, Mode::Sharded);
+                let (fast, _, _) = drain($model, &transfers, EngineMode::Heap);
+                let (lin, _, _) = drain($model, &transfers, EngineMode::LinearTimeline);
+                let (slow, _, _) = drain($model, &transfers, EngineMode::FullRecompute);
+                let (shard, _, _) = drain($model, &transfers, EngineMode::Sharded);
                 prop_assert_eq!(fast.len(), transfers.len());
                 prop_assert_eq!(fast.len(), lin.len());
                 prop_assert_eq!(fast.len(), slow.len());
@@ -251,11 +240,11 @@ proptest! {
         let transfers = bridge_wave_churn(comps, flows_per_comp, waves, stagger, seed);
         macro_rules! check {
             ($model:expr) => {{
-                let (fast, _, _) = drain($model, &transfers, Mode::Heap);
-                let (lin, _, _) = drain($model, &transfers, Mode::Linear);
-                let (slow, _, _) = drain($model, &transfers, Mode::Oracle);
-                let (shard, _, _) = drain($model, &transfers, Mode::Sharded);
-                let (fused, _, _) = drain($model, &transfers, Mode::MergeOnly);
+                let (fast, _, _) = drain($model, &transfers, EngineMode::Heap);
+                let (lin, _, _) = drain($model, &transfers, EngineMode::LinearTimeline);
+                let (slow, _, _) = drain($model, &transfers, EngineMode::FullRecompute);
+                let (shard, _, _) = drain($model, &transfers, EngineMode::Sharded);
+                let (fused, _, _) = drain($model, &transfers, EngineMode::ShardedMergeOnly);
                 prop_assert_eq!(fast.len(), transfers.len());
                 for modeled in [&lin, &slow, &shard, &fused] {
                     prop_assert_eq!(fast.len(), modeled.len());
@@ -274,7 +263,7 @@ proptest! {
         // The refining engine must have actually exercised the partition:
         // every wave's bridge chain coarsens it, and (stagger permitting)
         // its completion refines it back.
-        let mut net = build(GigabitEthernetModel::default(), Mode::Sharded);
+        let mut net = build(GigabitEthernetModel::default(), EngineMode::Sharded);
         drain_into(&mut net, &transfers);
         let stats = net.shard_stats();
         prop_assert!(
@@ -308,10 +297,10 @@ proptest! {
         }
         macro_rules! check {
             ($model:expr) => {{
-                let (fast, _, _) = drain($model, &transfers, Mode::Heap);
-                let (slow, _, _) = drain($model, &transfers, Mode::Oracle);
-                let (shard, _, _) = drain($model, &transfers, Mode::Sharded);
-                let (fused, _, _) = drain($model, &transfers, Mode::MergeOnly);
+                let (fast, _, _) = drain($model, &transfers, EngineMode::Heap);
+                let (slow, _, _) = drain($model, &transfers, EngineMode::FullRecompute);
+                let (shard, _, _) = drain($model, &transfers, EngineMode::Sharded);
+                let (fused, _, _) = drain($model, &transfers, EngineMode::ShardedMergeOnly);
                 prop_assert_eq!(fast.len(), transfers.len());
                 for modeled in [&slow, &shard, &fused] {
                     prop_assert_eq!(fast.len(), modeled.len());
@@ -330,6 +319,34 @@ proptest! {
 }
 
 #[test]
+fn sharded_cache_stats_count_every_query_once() {
+    // Conservation: on the same schedule, the sharded aggregate may
+    // exceed the unpartitioned engine's model queries only by the extra
+    // queries partition changes cause — one rebuild per merge, one
+    // refresh per splinter — never by counting a shard's history twice.
+    for (flows, seed) in [(256, 1), (512, CHURN_SEED)] {
+        let transfers = churn_transfers_seeded(flows, 25.0, seed);
+        let (heap_done, heap, _) = drain(
+            GigabitEthernetModel::default(),
+            &transfers,
+            EngineMode::Heap,
+        );
+        let mut net = build(GigabitEthernetModel::default(), EngineMode::Sharded);
+        let shard_done = drain_into(&mut net, &transfers);
+        assert_eq!(heap_done, shard_done);
+        let (sharded, shape) = (net.cache_stats(), net.shard_stats());
+        assert!(
+            shape.splits > 0,
+            "the schedule must split shards: {shape:?}"
+        );
+        assert!(
+            sharded.model_queries <= heap.model_queries + shape.splits + shape.merges,
+            "{flows} flows: sharded {sharded:?} vs heap {heap:?} with {shape:?}"
+        );
+    }
+}
+
+#[test]
 fn zero_size_transfers_complete_at_their_gate_in_all_modes() {
     // `remaining <= eps` at arrival: the flow anchors with its finish time
     // equal to the settle instant and completes in the same event step —
@@ -337,20 +354,14 @@ fn zero_size_transfers_complete_at_their_gate_in_all_modes() {
     // All three timelines must agree bitwise.
     let mut results = Vec::new();
     for mode in [
-        Mode::Heap,
-        Mode::Linear,
-        Mode::Oracle,
-        Mode::Sharded,
-        Mode::MergeOnly,
+        EngineMode::Heap,
+        EngineMode::LinearTimeline,
+        EngineMode::FullRecompute,
+        EngineMode::Sharded,
+        EngineMode::ShardedMergeOnly,
     ] {
-        let mut net = FluidNetwork::new(MyrinetModel::default(), NetworkParams::new(1.0, 0.0));
-        net = match mode {
-            Mode::Heap => net,
-            Mode::Linear => net.with_linear_timeline(),
-            Mode::Oracle => net.with_full_recompute(),
-            Mode::Sharded => net.with_sharded(),
-            Mode::MergeOnly => net.with_sharded_merge_only(),
-        };
+        let mut net = FluidNetwork::new(MyrinetModel::default(), NetworkParams::new(1.0, 0.0))
+            .with_mode(mode);
         net.add(0, Communication::new(0u32, 1u32, 100), 0.0);
         net.add(1, Communication::new(0u32, 2u32, 0), 0.0); // flashes at t=0
         let mut done: Vec<(u64, f64)> = net
@@ -375,11 +386,12 @@ fn zero_size_transfers_complete_at_their_gate_in_all_modes() {
         results.push(done);
     }
     let heap = &results[0];
-    for (done, mode) in
-        results[1..]
-            .iter()
-            .zip([Mode::Linear, Mode::Oracle, Mode::Sharded, Mode::MergeOnly])
-    {
+    for (done, mode) in results[1..].iter().zip([
+        EngineMode::LinearTimeline,
+        EngineMode::FullRecompute,
+        EngineMode::Sharded,
+        EngineMode::ShardedMergeOnly,
+    ]) {
         for (&(ka, ta), &(kb, tb)) in heap.iter().zip(done) {
             assert_eq!(ka, kb, "{mode:?}");
             assert_eq!(ta.to_bits(), tb.to_bits(), "heap vs {mode:?}, key {ka}");
@@ -398,10 +410,10 @@ fn reset_network_replays_the_heap_timeline_bit_for_bit() {
         churn_transfers_seeded(12, 0.0, 12),
         churn_transfers_seeded(20, 0.5, 13),
     ];
-    let mut reused = build(MyrinetModel::default(), Mode::Heap);
+    let mut reused = build(MyrinetModel::default(), EngineMode::Heap);
     for transfers in &battery {
         let again = drain_into(&mut reused, transfers);
-        let (fresh, _, _) = drain(MyrinetModel::default(), transfers, Mode::Heap);
+        let (fresh, _, _) = drain(MyrinetModel::default(), transfers, EngineMode::Heap);
         assert_eq!(again.len(), fresh.len());
         for (&(ka, ta), &(kb, tb)) in again.iter().zip(&fresh) {
             assert_eq!(ka, kb);
@@ -488,16 +500,22 @@ fn components_collapsing_to_singletons_agree_in_all_modes() {
         (4, Communication::new(10u32, 12u32, 7_000), 1.0), // B's singleton
     ];
     let mut results = Vec::new();
-    for mode in [Mode::Heap, Mode::Linear, Mode::Oracle, Mode::Sharded] {
+    for mode in [
+        EngineMode::Heap,
+        EngineMode::LinearTimeline,
+        EngineMode::FullRecompute,
+        EngineMode::Sharded,
+    ] {
         let (done, _, _) = drain(MyrinetModel::default(), &transfers, mode);
         assert_eq!(done.len(), transfers.len(), "{mode:?}");
         results.push(done);
     }
     let heap = &results[0];
-    for (done, mode) in results[1..]
-        .iter()
-        .zip([Mode::Linear, Mode::Oracle, Mode::Sharded])
-    {
+    for (done, mode) in results[1..].iter().zip([
+        EngineMode::LinearTimeline,
+        EngineMode::FullRecompute,
+        EngineMode::Sharded,
+    ]) {
         for (&(ka, ta), &(kb, tb)) in heap.iter().zip(done) {
             assert_eq!(ka, kb, "{mode:?}");
             assert_eq!(
@@ -507,7 +525,7 @@ fn components_collapsing_to_singletons_agree_in_all_modes() {
             );
         }
     }
-    let mut net = build(MyrinetModel::default(), Mode::Sharded);
+    let mut net = build(MyrinetModel::default(), EngineMode::Sharded);
     for &(key, comm, start) in &transfers {
         net.add(key, comm, start);
     }
@@ -589,9 +607,13 @@ fn budget_fallback_collapses_the_partition_and_stays_bitwise() {
         .map(|(i, &(s, d))| (i as u64, Communication::new(s, d, 4_000), 0.0))
         .collect();
 
-    let (heap, ..) = drain(MyrinetModel::with_budget(9), &transfers, Mode::Heap);
-    let (oracle, ..) = drain(MyrinetModel::with_budget(9), &transfers, Mode::Oracle);
-    let mut net = build(MyrinetModel::with_budget(9), Mode::Sharded);
+    let (heap, ..) = drain(MyrinetModel::with_budget(9), &transfers, EngineMode::Heap);
+    let (oracle, ..) = drain(
+        MyrinetModel::with_budget(9),
+        &transfers,
+        EngineMode::FullRecompute,
+    );
+    let mut net = build(MyrinetModel::with_budget(9), EngineMode::Sharded);
     for &(key, comm, start) in &transfers {
         net.add(key, comm, start);
     }
@@ -669,11 +691,19 @@ fn pinned_collapse_lifts_when_the_offender_departs_and_stays_bitwise() {
     // must re-seat still-gated flows too.
     transfers.push((14, Communication::new(20u32, 21u32, 1_000), 6_500.0));
 
-    let (heap, ..) = drain(MyrinetModel::with_budget(9), &transfers, Mode::Heap);
-    let (oracle, ..) = drain(MyrinetModel::with_budget(9), &transfers, Mode::Oracle);
-    let (fused, ..) = drain(MyrinetModel::with_budget(9), &transfers, Mode::MergeOnly);
+    let (heap, ..) = drain(MyrinetModel::with_budget(9), &transfers, EngineMode::Heap);
+    let (oracle, ..) = drain(
+        MyrinetModel::with_budget(9),
+        &transfers,
+        EngineMode::FullRecompute,
+    );
+    let (fused, ..) = drain(
+        MyrinetModel::with_budget(9),
+        &transfers,
+        EngineMode::ShardedMergeOnly,
+    );
 
-    let mut net = build(MyrinetModel::with_budget(9), Mode::Sharded);
+    let mut net = build(MyrinetModel::with_budget(9), EngineMode::Sharded);
     for &(key, comm, start) in &transfers {
         net.add(key, comm, start);
     }
@@ -720,7 +750,7 @@ fn pinned_collapse_lifts_when_the_offender_departs_and_stays_bitwise() {
     }
 
     // The ablation keeps the collapse for good.
-    let mut fused_net = build(MyrinetModel::with_budget(9), Mode::MergeOnly);
+    let mut fused_net = build(MyrinetModel::with_budget(9), EngineMode::ShardedMergeOnly);
     for &(key, comm, start) in &transfers {
         fused_net.add(key, comm, start);
     }

@@ -50,6 +50,5 @@ mod service;
 
 pub use frontend::{ServeHandle, ServeRequest};
 pub use service::{
-    EngineMode, FlowAnswer, ServeConfig, ServeError, ServeStats, WhatIfAnswer, WhatIfQuery,
-    WhatIfService,
+    FlowAnswer, ServeConfig, ServeError, ServeStats, WhatIfAnswer, WhatIfQuery, WhatIfService,
 };

@@ -18,16 +18,16 @@ use netbw_core::{
     GigabitEthernetModel, InfinibandModel, ModelScratch, MyrinetModel, Penalty, PenaltyModel,
     PopulationDelta, QueryOutcome,
 };
-use netbw_fluid::NetworkParams;
+use netbw_fluid::{EngineMode, NetworkParams};
 use netbw_graph::Communication;
 use netbw_packet::FabricConfig;
-use netbw_serve::{EngineMode, ServeConfig, WhatIfAnswer, WhatIfQuery, WhatIfService};
+use netbw_serve::{ServeConfig, WhatIfAnswer, WhatIfQuery, WhatIfService};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 const MODES: [EngineMode; 5] = [
-    EngineMode::Event,
+    EngineMode::Heap,
     EngineMode::LinearTimeline,
     EngineMode::FullRecompute,
     EngineMode::Sharded,
@@ -188,7 +188,7 @@ fn rebase_over_a_budget_collapsed_partition() {
     for mode in [
         EngineMode::Sharded,
         EngineMode::ShardedMergeOnly,
-        EngineMode::Event,
+        EngineMode::Heap,
     ] {
         check_rebase_equivalence(
             Arc::new(MyrinetModel::with_budget(9)),
@@ -267,7 +267,7 @@ fn rebase_while_a_batch_aliases_the_snapshot() {
         Arc::clone(&model) as Arc<dyn PenaltyModel>,
         ServeConfig {
             threads: 1,
-            ..config(EngineMode::Event)
+            ..config(EngineMode::Heap)
         },
     ));
     for i in 0..6u64 {

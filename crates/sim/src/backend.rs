@@ -127,7 +127,7 @@ impl NetworkBackend for netbw_packet::PacketNetwork {
 mod tests {
     use super::*;
     use netbw_core::baseline::LinearModel;
-    use netbw_fluid::{FluidNetwork, NetworkParams};
+    use netbw_fluid::{EngineMode, FluidNetwork, NetworkParams};
     use netbw_packet::{FabricConfig, PacketNetwork};
 
     #[test]
@@ -191,7 +191,8 @@ mod tests {
         // the simulator's reporting is oblivious to the partition.
         use netbw_core::MyrinetModel;
         let mut b: Box<dyn NetworkBackend> = Box::new(
-            FluidNetwork::new(MyrinetModel::default(), NetworkParams::unit()).with_sharded(),
+            FluidNetwork::new(MyrinetModel::default(), NetworkParams::unit())
+                .with_mode(EngineMode::Sharded),
         );
         b.add(0, Communication::new(0u32, 1u32, 100), 0.0);
         b.add(1, Communication::new(2u32, 3u32, 150), 0.0); // disjoint component

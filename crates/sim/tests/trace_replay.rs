@@ -8,7 +8,7 @@
 //! shards through the [`NetworkBackend`] trait.
 
 use netbw_core::{GigabitEthernetModel, MyrinetModel, PenaltyModel};
-use netbw_fluid::{FluidNetwork, NetworkParams};
+use netbw_fluid::{EngineMode, FluidNetwork, NetworkParams};
 use netbw_graph::NodeId;
 use netbw_sim::{ClusterSpec, NetworkBackend, Placement, PlacementPolicy, SimReport, Simulator};
 use netbw_trace::parse_trace;
@@ -155,7 +155,7 @@ fn parsed_trace_battery_replays_bitwise_on_the_sharded_backend() {
             text,
             cluster,
             &policy,
-            FluidNetwork::new(MyrinetModel::default(), params).with_sharded(),
+            FluidNetwork::new(MyrinetModel::default(), params).with_mode(EngineMode::Sharded),
         );
         assert!(heap.makespan() > 0.0, "{label}: trace must do work");
         assert_reports_bitwise_equal(&heap, &sharded, label);
@@ -170,7 +170,8 @@ fn parsed_trace_battery_replays_bitwise_on_the_sharded_backend() {
             text,
             cluster,
             &policy,
-            FluidNetwork::new(GigabitEthernetModel::default(), params).with_sharded(),
+            FluidNetwork::new(GigabitEthernetModel::default(), params)
+                .with_mode(EngineMode::Sharded),
         );
         assert_reports_bitwise_equal(&heap, &sharded, label);
     }
@@ -196,7 +197,7 @@ fn explicit_placement_with_intra_node_pairs_replays_bitwise() {
         PAIRS_THEN_BRIDGE,
         cluster,
         &policy,
-        FluidNetwork::new(MyrinetModel::default(), params).with_sharded(),
+        FluidNetwork::new(MyrinetModel::default(), params).with_mode(EngineMode::Sharded),
     );
     assert!(
         heap.messages.iter().any(|m| m.intra_node),
@@ -220,8 +221,8 @@ fn sharded_backend_aggregates_stats_across_shards() {
     let trace = parse_trace(PAIRS_THEN_BRIDGE).expect("trace parses");
     let cluster = ClusterSpec::smp(8);
     let placement = Placement::assign(&PlacementPolicy::RoundRobinNode, trace.len(), &cluster);
-    let mut net =
-        FluidNetwork::new(MyrinetModel::default(), NetworkParams::new(2.0, 0.25)).with_sharded();
+    let mut net = FluidNetwork::new(MyrinetModel::default(), NetworkParams::new(2.0, 0.25))
+        .with_mode(EngineMode::Sharded);
     let report = Simulator::new(&trace, cluster, placement, &mut net)
         .run()
         .expect("trace replays");

@@ -57,7 +57,7 @@ pub use netbw_workloads as workloads;
 pub mod prelude {
     pub use netbw_core::prelude::*;
     pub use netbw_eval::{compare_hpl, compare_scheme, fig2_table, EvalSession, SweepStats, Table};
-    pub use netbw_fluid::{FluidNetwork, FluidSolver, NetworkParams};
+    pub use netbw_fluid::{EngineMode, FluidNetwork, FluidSolver, NetworkParams};
     pub use netbw_graph::prelude::*;
     pub use netbw_packet::{FabricConfig, PacketFabric, PacketNetwork};
     pub use netbw_serve::{ServeConfig, WhatIfQuery, WhatIfService};
