@@ -134,23 +134,6 @@ struct SessionShared {
 }
 
 impl SessionShared {
-    fn tref_lookup(&self, key: FabricKey, size: u64) -> Option<f64> {
-        self.tref
-            .lock()
-            .expect("shared tref memo")
-            .get(&key)
-            .and_then(|cache| cache.lookup(size))
-    }
-
-    fn tref_publish(&self, key: FabricKey, size: u64, tref: f64) {
-        self.tref
-            .lock()
-            .expect("shared tref memo")
-            .entry(key)
-            .or_default()
-            .insert(size, tref);
-    }
-
     fn absorb_exec(&self, stats: &ExecutorStats) {
         self.steals.fetch_add(stats.steals, Ordering::Relaxed);
         let mut per_worker = self.per_worker_items.lock().expect("per-worker items");
@@ -290,7 +273,15 @@ impl<'a> SweepWorker<'a> {
             self.local.tref_hits += 1;
             return t;
         }
-        if let Some(t) = self.shared.and_then(|s| s.tref_lookup(key, size)) {
+        // The shared memo stays locked across lookup → measure → publish,
+        // so two workers missing the same size measure it once: the second
+        // waits and hits. `fabric` touches only this worker's arenas, so no
+        // other lock is taken while this one is held.
+        let mut shared = self
+            .shared
+            .map(|s| s.tref.lock().expect("shared tref memo"));
+        let memo = shared.as_mut().map(|m| m.entry(key).or_default());
+        if let Some(t) = memo.as_ref().and_then(|c| c.lookup(size)) {
             self.local.tref_hits += 1;
             self.trefs.entry(key).or_default().insert(size, t);
             return t;
@@ -298,8 +289,8 @@ impl<'a> SweepWorker<'a> {
         self.local.tref_misses += 1;
         let t = self.fabric(cfg, 2).reference_time(size);
         self.trefs.entry(key).or_default().insert(size, t);
-        if let Some(shared) = self.shared {
-            shared.tref_publish(key, size, t);
+        if let Some(memo) = memo {
+            memo.insert(size, t);
         }
         t
     }

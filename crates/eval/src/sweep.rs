@@ -179,9 +179,11 @@ impl SweepExecutor {
 
 /// The sweep executor doubles as the settle dispatcher for the sharded
 /// fluid engine ([`netbw_fluid::FluidNetwork::with_settle_dispatch`]):
-/// one settle barrier's dirty-shard refreshes are independent one-shot
-/// jobs, exactly the uneven-item workload the work-stealing deques were
-/// built for. Jobs are wrapped in per-item mutexes only to satisfy
+/// one settle barrier's dirty-shard model refreshes are independent
+/// one-shot jobs, exactly the uneven-item workload the work-stealing
+/// deques were built for. Only that first round is dispatched — the
+/// engine re-anchors serially afterwards — so a barrier costs one
+/// scoped spawn at most. Jobs are wrapped in per-item mutexes only to satisfy
 /// `map`'s `&T` access — each job is taken by exactly one worker, so the
 /// locks are uncontended. Panicking jobs propagate through the scoped
 /// join, which is what keeps a poisoned shard from deadlocking the settle

@@ -117,6 +117,9 @@ pub struct PenaltyCache {
     /// most recent refresh, consumed by the engine's kinetics resync via
     /// [`Self::take_affected`].
     affected: AffectedSet,
+    /// Whether the most recent refresh reported
+    /// [`netbw_core::QueryOutcome::budget_fallback`].
+    fell_back: bool,
     /// Reusable buffer for [`Self::staged_active`]'s sorted arrivals.
     staged_arrivals: Vec<FlowKey>,
     stats: CacheStats,
@@ -180,6 +183,7 @@ impl PenaltyCache {
             pending_rebuild: self.pending_rebuild,
             scratch: self.scratch.as_ref().map(|s| s.fork()),
             affected: self.affected.clone(),
+            fell_back: self.fell_back,
             staged_arrivals: self.staged_arrivals.clone(),
             stats: self.stats,
         }
@@ -221,6 +225,7 @@ impl PenaltyCache {
             target.scratch = self.scratch.as_ref().map(|s| s.fork());
         }
         target.affected.clone_from(&self.affected);
+        target.fell_back = self.fell_back;
         target.staged_arrivals.clone_from(&self.staged_arrivals);
         target.stats = self.stats;
     }
@@ -242,6 +247,15 @@ impl PenaltyCache {
         self.pending_departures.clear();
         self.pending_rebuild = false;
         self.affected = AffectedSet::All;
+        self.fell_back = false;
+    }
+
+    /// Whether the most recent refresh degraded under the model's budget
+    /// ([`netbw_core::QueryOutcome::budget_fallback`]). The settle barrier
+    /// reads it right after a shard's refresh to decide whether the
+    /// partition must collapse.
+    pub(crate) fn last_refresh_fell_back(&self) -> bool {
+        self.fell_back
     }
 
     /// The affected set reported by the most recent refresh, leaving the
@@ -392,6 +406,7 @@ impl PenaltyCache {
             // and completed between settles): revalidate for free.
             self.stats.cancelled_refreshes += 1;
             self.affected = AffectedSet::Positions(Vec::new());
+            self.fell_back = false;
             self.valid = true;
             return (active, comms);
         }
@@ -419,6 +434,7 @@ impl PenaltyCache {
         if outcome.scratch_rebuilt {
             self.stats.scratch_rebuilds += 1;
         }
+        self.fell_back = outcome.budget_fallback;
         if outcome.budget_fallback {
             self.stats.budget_fallbacks += 1;
         }
@@ -442,6 +458,7 @@ impl PenaltyCache {
         let _ = self.take_delta(&active);
         self.penalties = model.penalties(&comms);
         self.affected = AffectedSet::All;
+        self.fell_back = false;
         debug_assert_eq!(self.penalties.len(), comms.len());
         let recycled_active = std::mem::replace(&mut self.active, active);
         let recycled_comms = std::mem::replace(&mut self.comms, comms);
@@ -637,6 +654,12 @@ mod tests {
         assert_eq!(stats.budget_fallbacks, 2, "refusal counted: {stats:?}");
         assert_eq!(stats.scratch_rebuilds, 2, "every refusal rebuilds");
         assert_eq!(cache.penalties(), model.penalties(&all).as_slice());
+        assert!(cache.last_refresh_fell_back());
+        // The flag describes the latest refresh only: an unchanged
+        // population cancels the next one and clears it.
+        cache.refresh(&model, keys.clone(), all.clone());
+        assert_eq!(cache.stats().cancelled_refreshes, 1);
+        assert!(!cache.last_refresh_fell_back());
         // Within budget, nothing of the sort fires: a fresh cache over the
         // default budget patches the same workload.
         let exact = MyrinetModel::default();
@@ -646,6 +669,7 @@ mod tests {
         cache.refresh(&exact, keys.clone(), all.clone());
         let stats = cache.stats();
         assert_eq!(stats.budget_fallbacks, 0, "{stats:?}");
+        assert!(!cache.last_refresh_fell_back());
         assert_eq!(stats.patched_queries, 1, "{stats:?}");
         assert_eq!(cache.penalties(), exact.penalties(&all).as_slice());
     }

@@ -39,10 +39,10 @@
 
 use crate::cache::{CacheStats, PenaltyCache};
 use crate::dispatch::{SerialDispatch, SettleDispatch, SettleJob};
-use crate::event_heap::{EventHeaps, TimelineStats};
+use crate::event_heap::TimelineStats;
 use crate::params::NetworkParams;
 use crate::shard::{Partition, Shard, ShardSet, ShardStats, SlotView};
-use crate::slab::{FlowKey, RawSlots, Slab};
+use crate::slab::{FlowKey, Slab};
 use crate::solver::Phase;
 use netbw_core::{AffectedSet, Penalty, PenaltyModel};
 use netbw_graph::Communication;
@@ -255,10 +255,10 @@ pub struct FluidNetwork<M> {
     params: NetworkParams,
     record_phases: bool,
     mode: EngineMode,
-    /// Executor for the per-shard refreshes of a settle barrier with more
-    /// than one dirty shard (the jobs touch disjoint shards, so any order
-    /// — or any parallel schedule — yields the same bits).
-    /// [`SerialDispatch`] by default.
+    /// Executor for the per-shard model refreshes (round 1) of a settle
+    /// barrier with more than one dirty shard (the jobs touch disjoint
+    /// shards, so any order — or any parallel schedule — yields the same
+    /// bits). [`SerialDispatch`] by default.
     dispatch: Arc<dyn SettleDispatch>,
     // Mutex (uncontended in single-threaded use) because
     // `next_event_time` is `&self` (see `NetworkBackend`) but may need to
@@ -312,53 +312,6 @@ fn resync_slot(
     slot.penalty = penalty.value();
     slot.finish = clamped_finish(now, slot.remaining, new_rate, slot.eps);
     Some(slot.finish)
-}
-
-/// Re-anchors a settled flow via [`resync_slot`] and, if its rate
-/// changed, bumps its slot epoch and pushes the new finish entry into its
-/// shard's heap.
-fn reanchor(
-    params: &NetworkParams,
-    record_phases: bool,
-    now: f64,
-    slots: &mut Slab<Slot>,
-    events: &mut EventHeaps,
-    key: FlowKey,
-    penalty: Penalty,
-) {
-    let slot = slots.get_mut(key).expect("settled flow lives in slab");
-    let Some(finish) = resync_slot(params, record_phases, now, slot, penalty) else {
-        return;
-    };
-    let epoch = slots.bump_epoch(key).expect("settled flow lives in slab");
-    events.push_completion(finish, key, epoch);
-}
-
-/// [`reanchor`] through a [`RawSlots`] view, so the settle jobs of
-/// disjoint shards can run concurrently.
-///
-/// # Safety
-/// `key` must be live, and no other concurrent user of the same raw view
-/// may hold it (the dirty shards' settled populations partition the slab,
-/// which the barrier asserts in debug builds). The slab must be
-/// structurally frozen for the view's lifetime.
-unsafe fn reanchor_raw(
-    params: &NetworkParams,
-    record_phases: bool,
-    now: f64,
-    slots: RawSlots<Slot>,
-    events: &mut EventHeaps,
-    key: FlowKey,
-    penalty: Penalty,
-) {
-    // SAFETY: forwarded from the caller's contract; the `slot` borrow ends
-    // before `bump_epoch` touches the entry again.
-    let slot = unsafe { slots.get_mut(key) }.expect("settled flow lives in slab");
-    let Some(finish) = resync_slot(params, record_phases, now, slot, penalty) else {
-        return;
-    };
-    let epoch = unsafe { slots.bump_epoch(key) }.expect("settled flow lives in slab");
-    events.push_completion(finish, key, epoch);
 }
 
 /// Queries the model for the population staged in `sh.staged`, recycling
@@ -423,21 +376,39 @@ fn stage_and_refresh<M: PenaltyModel>(
     refresh_staged(model, slots, sh, false);
 }
 
-/// Round 2 of a settle barrier for one shard: hands each flow the model
-/// reported as affected (every flow on an [`AffectedSet::All`] answer,
-/// counted as a rescan) to `reanchor`, with the shard's heaps.
-fn reanchor_affected(sh: &mut Shard, mut reanchor: impl FnMut(&mut EventHeaps, FlowKey, Penalty)) {
+/// Round 2 of a settle barrier for one shard: re-anchors each flow the
+/// model reported as affected (every flow on an [`AffectedSet::All`]
+/// answer, counted as a rescan) via [`resync_slot`] and, where its rate
+/// changed, bumps its slot epoch and pushes the new finish entry into the
+/// shard's heap.
+fn reanchor_affected(
+    params: &NetworkParams,
+    record_phases: bool,
+    now: f64,
+    slots: &mut Slab<Slot>,
+    sh: &mut Shard,
+) {
     let Shard { cache, events, .. } = sh;
-    match cache.take_affected() {
+    let affected = cache.take_affected();
+    if let AffectedSet::All = affected {
+        events.stats.rescans += 1;
+    }
+    let mut reanchor = |key, penalty| {
+        let slot = slots.get_mut(key).expect("settled flow lives in slab");
+        if let Some(finish) = resync_slot(params, record_phases, now, slot, penalty) {
+            let epoch = slots.bump_epoch(key).expect("settled flow lives in slab");
+            events.push_completion(finish, key, epoch);
+        }
+    };
+    match affected {
         AffectedSet::Positions(positions) => {
             for &i in &positions {
-                reanchor(events, cache.active()[i], cache.penalties()[i]);
+                reanchor(cache.active()[i], cache.penalties()[i]);
             }
         }
         AffectedSet::All => {
-            events.stats.rescans += 1;
             for (&key, &penalty) in cache.active().iter().zip(cache.penalties()) {
-                reanchor(events, key, penalty);
+                reanchor(key, penalty);
             }
         }
     }
@@ -449,34 +420,33 @@ fn reanchor_affected(sh: &mut Shard, mut reanchor: impl FnMut(&mut EventHeaps, F
 /// them:
 ///
 /// 1. **Stage + refresh** ([`stage_and_refresh`]): each dirty shard
-///    derives its post-change population and runs its penalty query. The
-///    jobs own disjoint shards and read the slab immutably, so any
-///    schedule yields the same bits;
+///    derives its post-change population and runs its penalty query —
+///    the model work, and the only round worth parallelising. The jobs
+///    own disjoint shards and read the slab immutably, so any schedule
+///    yields the same bits. One dirty shard — always the case for the
+///    unpartitioned default engine — refreshes inline on the calling
+///    thread; two or more go to the [`SettleDispatch`].
 /// 2. **Re-anchor** ([`reanchor_affected`]): resync the kinetics of each
-///    shard's affected flows. The next-event republish stays serial: it
-///    feeds the shared cross-shard heap.
+///    dirty shard's affected flows, one shard after another in index
+///    order, through `&mut Slab`. This round is O(affected) arithmetic
+///    and heap pushes — too cheap to repay a second dispatch — and so is
+///    the next-event republish after it, which feeds the shared
+///    cross-shard heap.
 ///
-/// With one dirty shard — always the case for the unpartitioned default
-/// engine — both rounds run inline on the calling thread and re-anchor
-/// through `&mut Slab`: no dispatch, no allocation, no `unsafe`. With two
-/// or more, each round goes to the [`SettleDispatch`], and round 2
-/// re-anchors through a [`RawSlots`] view — dirty shards' settled
-/// populations are disjoint slot sets (asserted in debug builds) and the
-/// slab is structurally frozen for the whole barrier, so the jobs never
-/// touch the same entry. Clean shards are never touched, so a settle
-/// costs the dirty shards' O(affected) work — not O(components).
+/// Clean shards are never touched, so a settle costs the dirty shards'
+/// O(affected) work — not O(components).
 ///
 /// One guard sits between the rounds: if any refresh reported a model
 /// budget fallback while more than one component shard is live, the
 /// barrier collapses the partition into a single global shard — pinned to
-/// the first offending shard's component root, whose departure
-/// un-collapses it — and restarts at the same instant. A budget-degraded
-/// answer depends on the *whole* query population (see [`crate::shard`]),
-/// so only a global query reproduces the unpartitioned engine's bits from
-/// that settle on. Keeping the rounds separate is what makes the restart
-/// exact: no flow is re-anchored before the fallback check, so the global
-/// redo starts from the same pre-settle kinetics the unpartitioned engine
-/// would.
+/// the component root of the lowest-indexed offending shard, whose
+/// departure un-collapses it — and restarts at the same instant. A
+/// budget-degraded answer depends on the *whole* query population (see
+/// [`crate::shard`]), so only a global query reproduces the unpartitioned
+/// engine's bits from that settle on. Keeping the rounds separate is what
+/// makes the restart exact: no flow is re-anchored before the fallback
+/// check, so the global redo starts from the same pre-settle kinetics the
+/// unpartitioned engine would.
 fn settle_shards<M: PenaltyModel>(
     model: &M,
     params: &NetworkParams,
@@ -513,83 +483,35 @@ fn settle_barrier<M: PenaltyModel>(
     let partitioned = shards.is_partitioned();
     let guard_fallbacks = shards.live_count() > 1;
     let mut dirty = std::mem::take(&mut shards.dirty);
+    dirty.sort_unstable();
+    // Round 1: stage + refresh. Jobs share the slab read-only.
     if let [id] = dirty[..] {
-        let sh = shards.shard_mut(id);
-        let fallbacks_before = sh.cache.stats().budget_fallbacks;
-        stage_and_refresh(model, slots, sh, partitioned);
-        if guard_fallbacks && sh.cache.stats().budget_fallbacks > fallbacks_before {
-            // Round 2 is skipped: the merged rebuild re-queries and
-            // re-anchors everything from the same pre-settle kinetics.
-            let pin = sh.root;
-            shards.collapse_all(Some(pin));
-            return false;
-        }
-        reanchor_affected(sh, |events, key, penalty| {
-            reanchor(params, record_phases, now, slots, events, key, penalty)
-        });
+        stage_and_refresh(model, slots, shards.shard_mut(id), partitioned);
     } else {
-        dirty.sort_unstable();
-        // Per-shard fallback counts before the queries, so the splice
-        // point can identify which shard's refusal forced a collapse (its
-        // component root becomes the collapse pin).
-        let fallbacks_before: Vec<u64> = dirty
-            .iter()
-            .map(|&id| shards.shard_mut(id).cache.stats().budget_fallbacks)
-            .collect();
-        {
-            // Round 1: stage + refresh. Jobs share the slab read-only.
-            let slots = &*slots;
-            let mut jobs: Vec<SettleJob<'_>> = shards
-                .disjoint_mut(&dirty)
-                .into_iter()
-                .map(|sh| SettleJob::new(move || stage_and_refresh(model, slots, sh, partitioned)))
-                .collect();
-            dispatch.run_settles(&mut jobs);
-        }
-        if guard_fallbacks {
-            let offender = dirty
-                .iter()
-                .zip(&fallbacks_before)
-                .find(|&(&id, &before)| {
-                    shards.shard_mut(id).cache.stats().budget_fallbacks > before
-                })
-                .map(|(&id, _)| id);
-            if let Some(offender) = offender {
-                let pin = shards.shard_mut(offender).root;
-                shards.collapse_all(Some(pin));
-                return false;
-            }
-        }
-        #[cfg(debug_assertions)]
-        {
-            // The RawSlots round below is sound only if the dirty shards'
-            // settled populations name pairwise-disjoint slots.
-            let mut seen = std::collections::HashSet::new();
-            for &id in &dirty {
-                for &k in shards.shard_mut(id).cache.active() {
-                    assert!(seen.insert(k), "shard populations overlap on a slot");
-                }
-            }
-        }
-        // Round 2: re-anchor the affected flows of each dirty shard.
-        let raw = slots.raw();
+        let slots = &*slots;
         let mut jobs: Vec<SettleJob<'_>> = shards
             .disjoint_mut(&dirty)
             .into_iter()
-            .map(|sh| {
-                SettleJob::new(move || {
-                    reanchor_affected(sh, |events, key, penalty| {
-                        // SAFETY: `key` sits in this shard's settled
-                        // population, disjoint from every other job's;
-                        // the slab is frozen for the whole barrier.
-                        unsafe {
-                            reanchor_raw(params, record_phases, now, raw, events, key, penalty)
-                        }
-                    })
-                })
-            })
+            .map(|sh| SettleJob::new(move || stage_and_refresh(model, slots, sh, partitioned)))
             .collect();
         dispatch.run_settles(&mut jobs);
+    }
+    if guard_fallbacks {
+        let offender = dirty
+            .iter()
+            .copied()
+            .find(|&id| shards.shard_mut(id).cache.last_refresh_fell_back());
+        if let Some(offender) = offender {
+            // Round 2 is skipped: the merged rebuild re-queries and
+            // re-anchors everything from the same pre-settle kinetics.
+            let pin = shards.shard_mut(offender).root;
+            shards.collapse_all(Some(pin));
+            return false;
+        }
+    }
+    // Round 2: re-anchor, then republish each shard's next event.
+    for &id in &dirty {
+        reanchor_affected(params, record_phases, now, slots, shards.shard_mut(id));
     }
     for &id in &dirty {
         shards.refresh_next(id, slots);
@@ -726,11 +648,13 @@ impl<M: PenaltyModel> FluidNetwork<M> {
         self.with_mode(EngineMode::FullRecompute)
     }
 
-    /// Runs the per-shard refreshes of every settle barrier with two or
-    /// more dirty shards through `dispatch` instead of serially — the
-    /// work-stealing executor in `netbw-eval` implements
-    /// [`SettleDispatch`] for exactly this. Only [`EngineMode::Sharded`]
-    /// and [`EngineMode::ShardedMergeOnly`] ever have more than one shard.
+    /// Runs the per-shard model refreshes (round 1) of every settle
+    /// barrier with two or more dirty shards through `dispatch` instead of
+    /// serially — the work-stealing executor in `netbw-eval` implements
+    /// [`SettleDispatch`] for exactly this. Dispatch covers round 1 only:
+    /// the re-anchor round after it always runs serially on the calling
+    /// thread. Only [`EngineMode::Sharded`] and
+    /// [`EngineMode::ShardedMergeOnly`] ever have more than one shard.
     pub fn with_settle_dispatch(mut self, dispatch: Arc<dyn SettleDispatch>) -> Self {
         self.dispatch = dispatch;
         self

@@ -236,121 +236,6 @@ impl<T> Slab<T> {
     pub fn keys(&self) -> impl Iterator<Item = FlowKey> + '_ {
         self.iter().map(|(k, _)| k)
     }
-
-    /// A raw, thread-shareable view of the slab's entries for the sharded
-    /// engine's parallel settle barrier. The view is `Copy`: every settle
-    /// job captures its own copy and works through it unchecked.
-    ///
-    /// The borrow handed in here is consumed immediately (the view carries
-    /// no lifetime), so the *caller* is responsible for the aliasing
-    /// discipline the borrow checker would otherwise enforce — see
-    /// [`RawSlots`].
-    pub(crate) fn raw(&mut self) -> RawSlots<T> {
-        RawSlots {
-            entries: self.entries.as_mut_ptr(),
-            len: self.entries.len(),
-        }
-    }
-}
-
-/// Unchecked entry access into a [`Slab`] from concurrently running settle
-/// jobs, justified by partition disjointness: the sharded engine's jobs
-/// each touch only the keys of their own shard's members, and distinct
-/// live keys never share a slot, so no two jobs ever touch the same entry.
-///
-/// # Safety contract (callers)
-///
-/// * The source slab must outlive every use of the view, with no
-///   structural mutation (insert/remove/clear/grow) while any view is
-///   live — generations and the entry array are frozen for the duration.
-/// * Two concurrent users must never pass the same live key — entry
-///   *contents* (value and epoch) are accessed without synchronization.
-/// * Keys whose slot was reused by another shard's flow are safe to
-///   *probe* (`contains`): liveness is derived from the generation stamp
-///   alone, never from the value discriminant, whose bytes may alias
-///   in-flight writes to the new occupant by its owning job.
-pub(crate) struct RawSlots<T> {
-    entries: *mut Entry<T>,
-    len: usize,
-}
-
-impl<T> Clone for RawSlots<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for RawSlots<T> {}
-// SAFETY: a RawSlots is just an unchecked window into the slab; the
-// aliasing rules above make cross-thread use sound exactly when T's
-// values may be sent between threads.
-unsafe impl<T: Send> Send for RawSlots<T> {}
-unsafe impl<T: Send> Sync for RawSlots<T> {}
-
-impl<T> RawSlots<T> {
-    /// The entry for `key` if its occupancy is live, by generation stamp
-    /// alone.
-    ///
-    /// # Safety
-    ///
-    /// See the type-level contract: the slab must be structurally frozen
-    /// and no other thread may concurrently access this *live* key.
-    unsafe fn entry(&self, key: FlowKey) -> Option<*mut Entry<T>> {
-        let i = key.index();
-        if i >= self.len {
-            return None;
-        }
-        let e = unsafe { self.entries.add(i) };
-        // `Slab::remove` always bumps the generation, so a generation
-        // match for an issued key implies the occupancy is live — checked
-        // WITHOUT reading the value discriminant, which (niche-packed)
-        // may alias bytes another job is writing to a reused slot.
-        if unsafe { (*e).generation } != key.generation() {
-            return None;
-        }
-        Some(e)
-    }
-
-    /// True when `key` names a live occupancy.
-    ///
-    /// # Safety
-    ///
-    /// The slab must be structurally frozen (no concurrent generation
-    /// writes); concurrent *value* writes by the key's owner are fine.
-    #[cfg(test)]
-    pub(crate) unsafe fn contains(&self, key: FlowKey) -> bool {
-        unsafe { self.entry(key) }.is_some()
-    }
-
-    /// Mutable access to the entry named by `key`, if live. The returned
-    /// lifetime is unbounded — the caller scopes it.
-    ///
-    /// # Safety
-    ///
-    /// See the type-level contract; additionally the caller must not hold
-    /// two returned borrows of the same entry at once.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn get_mut<'a>(&self, key: FlowKey) -> Option<&'a mut T> {
-        let e = unsafe { self.entry(key) }?;
-        // generation matched, so the value is Some — but go through the
-        // checked path anyway; the owner is the only writer, so reading
-        // the discriminant here is race-free.
-        unsafe { (*e).value.as_mut() }
-    }
-
-    /// Bumps and returns the entry's epoch stamp, if live — the raw twin
-    /// of [`Slab::bump_epoch`].
-    ///
-    /// # Safety
-    ///
-    /// See the type-level contract: this writes the entry, so the caller
-    /// must own `key`.
-    pub(crate) unsafe fn bump_epoch(&self, key: FlowKey) -> Option<u64> {
-        let e = unsafe { self.entry(key) }?;
-        unsafe {
-            (*e).epoch += 1;
-            Some((*e).epoch)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -438,28 +323,6 @@ mod tests {
         assert_eq!(b.slot_index(), a.slot_index());
         assert_eq!(slab.epoch(b), Some(0));
         assert_eq!(slab.epoch(a), None);
-    }
-
-    #[test]
-    fn raw_view_agrees_with_checked_access() {
-        let mut slab = Slab::new();
-        let a = slab.insert(1);
-        let b = slab.insert(2);
-        slab.remove(a);
-        let c = slab.insert(3); // reuses a's slot under a new generation
-        let raw = slab.raw();
-        unsafe {
-            assert!(!raw.contains(a), "stale key must miss by generation");
-            assert!(raw.contains(b));
-            assert!(raw.contains(c));
-            *raw.get_mut(b).unwrap() = 20;
-            assert_eq!(raw.bump_epoch(c), Some(1));
-            assert!(raw.get_mut(a).is_none());
-            assert!(raw.bump_epoch(a).is_none());
-        }
-        assert_eq!(slab.get(b), Some(&20));
-        assert_eq!(slab.epoch(c), Some(1));
-        assert_eq!(slab.epoch(b), Some(0));
     }
 
     #[test]

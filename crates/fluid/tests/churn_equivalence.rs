@@ -576,19 +576,15 @@ fn completion_batches_report_keys_in_order_and_patch_survivors() {
     );
 }
 
-/// A budget-starved Myrinet run where the degradation is *asymmetric*:
-/// component A (an 8-flow conflict cycle, 10 maximal states) blows the
-/// state-set budget of 9, component B (a 6-flow conflict cycle, 5 states,
-/// exact penalty 5/2 vs max-conflict approximation 2) fits it. The
-/// unsharded engines degrade the whole population the moment A blows,
-/// B included; a per-shard query would keep B exact and diverge. The
-/// sharded engine must detect the fallback, collapse its partition into
-/// one global shard mid-settle, and stay bit-for-bit with the heap.
-#[test]
-fn budget_fallback_collapses_the_partition_and_stays_bitwise() {
-    // Conflict cycles alternate shared-source and shared-destination
-    // pairs (an out-link conflict, then an in-link conflict, ...): C8 on
-    // nodes 0..8, C6 on nodes 8..14.
+/// The budget-starved Myrinet pair the collapse tests share: an 8-flow
+/// conflict cycle C8 on nodes 0..8 (10 maximal states, blows a state-set
+/// budget of 9) and a 6-flow cycle C6 on nodes 8..14 (5 states, fits it),
+/// each cycle alternating shared-source and shared-destination pairs (an
+/// out-link conflict, then an in-link conflict, ...). Shards are assigned
+/// in add order, so `c8_first` decides whether the offender is the first
+/// or the second dirty shard of the settle barrier that falls back.
+/// Returns the C8 and C6 transfers, keyed in add order.
+fn budget_cycles(c8_first: bool, c8_bytes: u64, c6_bytes: u64) -> Vec<(u64, Communication, f64)> {
     let c8 = [
         (0u32, 1u32),
         (2, 1),
@@ -598,120 +594,132 @@ fn budget_fallback_collapses_the_partition_and_stays_bitwise() {
         (6, 5),
         (6, 7),
         (0, 7),
-    ];
-    let c6 = [(8u32, 9u32), (10, 9), (10, 11), (12, 11), (12, 13), (8, 13)];
-    let transfers: Vec<(u64, Communication, f64)> = c8
+    ]
+    .map(|(s, d)| Communication::new(s, d, c8_bytes));
+    let c6 = [(8u32, 9u32), (10, 9), (10, 11), (12, 11), (12, 13), (8, 13)]
+        .map(|(s, d)| Communication::new(s, d, c6_bytes));
+    let (first, second): (&[Communication], &[Communication]) =
+        if c8_first { (&c8, &c6) } else { (&c6, &c8) };
+    first
         .iter()
-        .chain(&c6)
+        .chain(second)
         .enumerate()
-        .map(|(i, &(s, d))| (i as u64, Communication::new(s, d, 4_000), 0.0))
-        .collect();
+        .map(|(i, &comm)| (i as u64, comm, 0.0))
+        .collect()
+}
 
-    let (heap, ..) = drain(MyrinetModel::with_budget(9), &transfers, EngineMode::Heap);
-    let (oracle, ..) = drain(
-        MyrinetModel::with_budget(9),
-        &transfers,
-        EngineMode::FullRecompute,
-    );
-    let mut net = build(MyrinetModel::with_budget(9), EngineMode::Sharded);
-    for &(key, comm, start) in &transfers {
-        net.add(key, comm, start);
-    }
-    assert_eq!(
-        net.shard_count(),
-        2,
-        "two components before the first settle"
-    );
-    // Open the latency gates: the first populated settle hits the budget
-    // and must collapse the partition.
-    net.advance_to(0.3);
-    assert_eq!(
-        net.shard_count(),
-        1,
-        "the budget fallback must collapse both shards into one"
-    );
-    let mut sharded: Vec<(u64, f64)> = net
-        .run_to_completion()
-        .into_iter()
-        .map(|c| (c.key, c.completion))
-        .collect();
-    sharded.sort_by_key(|&(k, _)| k);
-    assert_eq!(
-        net.shard_count(),
-        0,
-        "the full drain quiesces the collapse pin"
-    );
-    assert!(
-        net.cache_stats().budget_fallbacks >= 1,
-        "the workload must actually hit the budget: {:?}",
-        net.cache_stats()
-    );
-    for ((hk, ht), (sk, st)) in heap.iter().zip(&sharded) {
-        assert_eq!(hk, sk);
-        assert_eq!(
-            ht.to_bits(),
-            st.to_bits(),
-            "key {hk}: heap {ht} vs sharded {st}"
+/// A budget-starved Myrinet run where the degradation is *asymmetric*:
+/// component C8 blows the state-set budget, component C6 fits it (exact
+/// penalty 5/2 vs max-conflict approximation 2). The unsharded engines
+/// degrade the whole population the moment C8 blows, C6 included; a
+/// per-shard query would keep C6 exact and diverge. The sharded engine
+/// must detect the fallback, collapse its partition into one global shard
+/// mid-settle, and stay bit-for-bit with the heap — whichever dirty shard
+/// the offender is.
+#[test]
+fn budget_fallback_collapses_the_partition_and_stays_bitwise() {
+    for c8_first in [true, false] {
+        let transfers = budget_cycles(c8_first, 4_000, 4_000);
+        let (heap, ..) = drain(MyrinetModel::with_budget(9), &transfers, EngineMode::Heap);
+        let (oracle, ..) = drain(
+            MyrinetModel::with_budget(9),
+            &transfers,
+            EngineMode::FullRecompute,
         );
-    }
-    for ((hk, ht), (ok, ot)) in heap.iter().zip(&oracle) {
-        assert_eq!(hk, ok);
-        assert_eq!(ht.to_bits(), ot.to_bits(), "key {hk}: heap vs oracle");
+        let mut net = build(MyrinetModel::with_budget(9), EngineMode::Sharded);
+        for &(key, comm, start) in &transfers {
+            net.add(key, comm, start);
+        }
+        assert_eq!(
+            net.shard_count(),
+            2,
+            "two components before the first settle (c8_first {c8_first})"
+        );
+        // Open the latency gates: the first populated settle hits the
+        // budget and must collapse the partition.
+        net.advance_to(0.3);
+        assert_eq!(
+            net.shard_count(),
+            1,
+            "the budget fallback must collapse both shards into one (c8_first {c8_first})"
+        );
+        let mut sharded: Vec<(u64, f64)> = net
+            .run_to_completion()
+            .into_iter()
+            .map(|c| (c.key, c.completion))
+            .collect();
+        sharded.sort_by_key(|&(k, _)| k);
+        assert_eq!(
+            net.shard_count(),
+            0,
+            "the full drain quiesces the collapse pin"
+        );
+        assert!(
+            net.cache_stats().budget_fallbacks >= 1,
+            "the workload must actually hit the budget: {:?}",
+            net.cache_stats()
+        );
+        assert_eq!(sharded.len(), heap.len(), "c8_first {c8_first}");
+        for ((hk, ht), (sk, st)) in heap.iter().zip(&sharded) {
+            assert_eq!(hk, sk);
+            assert_eq!(
+                ht.to_bits(),
+                st.to_bits(),
+                "c8_first {c8_first}, key {hk}: heap {ht} vs sharded {st}"
+            );
+        }
+        for ((hk, ht), (ok, ot)) in heap.iter().zip(&oracle) {
+            assert_eq!(hk, ok);
+            assert_eq!(
+                ht.to_bits(),
+                ot.to_bits(),
+                "c8_first {c8_first}, key {hk}: heap vs oracle"
+            );
+        }
     }
 }
 
 /// Split after a budget collapse: the C8 cycle blows the state-set budget
-/// and collapses the partition, pinned to its component. When C8 drains,
-/// the collapse must lift *mid-run* — the partition is rebuilt from the
-/// live slab (the surviving C6 component and a still-gated future flow
-/// each get a shard back), C6's penalties return to exact, and every mode
-/// still agrees bitwise. The merge-only ablation never un-collapses and
-/// must agree all the same.
+/// and collapses the partition, pinned to its component — also when C6
+/// was added first, so C8 is the second dirty shard of the barrier that
+/// falls back. When C8 drains, the collapse must lift *mid-run* — the
+/// partition is rebuilt from the live slab (the surviving C6 component
+/// and a still-gated future flow each get a shard back), C6's penalties
+/// return to exact, and every mode still agrees bitwise. The merge-only
+/// ablation never un-collapses and must agree all the same.
 #[test]
 fn pinned_collapse_lifts_when_the_offender_departs_and_stays_bitwise() {
-    let c8 = [
-        (0u32, 1u32),
-        (2, 1),
-        (2, 3),
-        (4, 3),
-        (4, 5),
-        (6, 5),
-        (6, 7),
-        (0, 7),
-    ];
-    let c6 = [(8u32, 9u32), (10, 9), (10, 11), (12, 11), (12, 13), (8, 13)];
-    let mut transfers: Vec<(u64, Communication, f64)> = c8
-        .iter()
-        .map(|&(s, d)| Communication::new(s, d, 2_000))
-        .chain(c6.iter().map(|&(s, d)| Communication::new(s, d, 8_000)))
-        .enumerate()
-        .map(|(i, comm)| (i as u64, comm, 0.0))
-        .collect();
-    // A latecomer, gated until long after the collapse lifts: the rebuild
-    // must re-seat still-gated flows too.
-    transfers.push((14, Communication::new(20u32, 21u32, 1_000), 6_500.0));
+    for c8_first in [true, false] {
+        let mut transfers = budget_cycles(c8_first, 2_000, 8_000);
+        // A latecomer, gated until long after the collapse lifts: the
+        // rebuild must re-seat still-gated flows too.
+        transfers.push((14, Communication::new(20u32, 21u32, 1_000), 6_500.0));
+        pinned_collapse_lifts(&transfers, c8_first);
+    }
+}
 
-    let (heap, ..) = drain(MyrinetModel::with_budget(9), &transfers, EngineMode::Heap);
+fn pinned_collapse_lifts(transfers: &[(u64, Communication, f64)], c8_first: bool) {
+    let (heap, ..) = drain(MyrinetModel::with_budget(9), transfers, EngineMode::Heap);
     let (oracle, ..) = drain(
         MyrinetModel::with_budget(9),
-        &transfers,
+        transfers,
         EngineMode::FullRecompute,
     );
     let (fused, ..) = drain(
         MyrinetModel::with_budget(9),
-        &transfers,
+        transfers,
         EngineMode::ShardedMergeOnly,
     );
 
     let mut net = build(MyrinetModel::with_budget(9), EngineMode::Sharded);
-    for &(key, comm, start) in &transfers {
+    for &(key, comm, start) in transfers {
         net.add(key, comm, start);
     }
     assert_eq!(net.shard_count(), 3, "C8, C6 and the gated latecomer");
     net.advance_to(0.3); // first populated settle: C8 blows the budget
     let stats = net.shard_stats();
-    assert!(stats.collapsed, "{stats:?}");
-    assert_eq!(stats.budget_collapses, 1, "{stats:?}");
+    assert!(stats.collapsed, "c8_first {c8_first}: {stats:?}");
+    assert_eq!(stats.budget_collapses, 1, "c8_first {c8_first}: {stats:?}");
     assert_eq!(net.shard_count(), 1, "collapsed into the global shard");
 
     // Past C8's drain, before C6 finishes or the latecomer arrives.
@@ -722,12 +730,15 @@ fn pinned_collapse_lifts_when_the_offender_departs_and_stays_bitwise() {
         .collect();
     assert_eq!(sharded.len(), 8, "all of C8 drains by t=6000");
     let stats = net.shard_stats();
-    assert!(!stats.collapsed, "the pinned component left: {stats:?}");
-    assert_eq!(stats.uncollapses, 1, "{stats:?}");
+    assert!(
+        !stats.collapsed,
+        "c8_first {c8_first}: the pinned component left: {stats:?}"
+    );
+    assert_eq!(stats.uncollapses, 1, "c8_first {c8_first}: {stats:?}");
     assert_eq!(
         net.shard_count(),
         2,
-        "C6 and the still-gated latecomer get their shards back"
+        "C6 and the still-gated latecomer get their shards back (c8_first {c8_first})"
     );
 
     sharded.extend(
@@ -744,18 +755,21 @@ fn pinned_collapse_lifts_when_the_offender_departs_and_stays_bitwise() {
             assert_eq!(
                 ta.to_bits(),
                 tb.to_bits(),
-                "sharded vs {name}, key {ka}: {ta} vs {tb}"
+                "c8_first {c8_first}: sharded vs {name}, key {ka}: {ta} vs {tb}"
             );
         }
     }
 
     // The ablation keeps the collapse for good.
     let mut fused_net = build(MyrinetModel::with_budget(9), EngineMode::ShardedMergeOnly);
-    for &(key, comm, start) in &transfers {
+    for &(key, comm, start) in transfers {
         fused_net.add(key, comm, start);
     }
     fused_net.advance_to(6_000.0);
     let stats = fused_net.shard_stats();
-    assert!(stats.collapsed, "merge-only never un-collapses: {stats:?}");
+    assert!(
+        stats.collapsed,
+        "c8_first {c8_first}: merge-only never un-collapses: {stats:?}"
+    );
     assert_eq!(stats.uncollapses, 0, "{stats:?}");
 }
